@@ -9,7 +9,7 @@ for b in build/bench/*; do
     case "$name" in
         micro_primitives)
             echo "[$(date +%H:%M:%S)] $name" >> results/campaign.log
-            "$b" --benchmark_min_time=0.2s > "results/$name.txt" 2>&1
+            "$b" --benchmark_min_time=0.2 > "results/$name.txt" 2>&1
             ;;
         *)
             echo "[$(date +%H:%M:%S)] $name" >> results/campaign.log

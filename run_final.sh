@@ -10,7 +10,7 @@ for b in build/bench/*; do
     name=$(basename "$b")
     echo "[final] $name" >> results/campaign.log
     if [ "$name" = micro_primitives ]; then
-        "$b" --benchmark_min_time=0.2s > "results/$name.txt" 2>&1
+        "$b" --benchmark_min_time=0.2 > "results/$name.txt" 2>&1
     else
         "$b" > "results/$name.txt" 2>&1
     fi

@@ -396,9 +396,9 @@ readFile(const std::string &path)
         throw Error("cannot open checkpoint '" + path + "'");
     std::vector<std::uint8_t> out;
     // Size the buffer once and read in a single pass; checkpoint
-    // images run to ~100 MB, so incremental vector growth over small
-    // reads costs real restore time. Unseekable inputs (pipes) fall
-    // back to chunked reads.
+    // images run to several MB, so incremental vector growth over
+    // small reads costs real restore time. Unseekable inputs (pipes)
+    // fall back to chunked reads.
     long size = -1;
     if (std::fseek(f, 0, SEEK_END) == 0) {
         size = std::ftell(f);

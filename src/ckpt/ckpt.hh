@@ -10,6 +10,14 @@
  *   payload: the serialized System state; each section opens with an
  *            8-byte marker that load() re-validates
  *
+ * The `workload` section (version 4) opens with the core count and,
+ * per core, the profile name, the generator seed and the functional
+ * memory's dirty words: the count of dirty pages, then per page (in
+ * ascending order) its page number, its 512-bit dirty bitmap and one
+ * value per set bit. Clean pages are not stored — restore rebuilds
+ * them by constructing the same (profile, seed) workload. Page tables
+ * and generator states follow.
+ *
  * On-disk images may additionally be wrapped in a deflate container
  * (zlib builds only):
  *
@@ -54,7 +62,7 @@ struct SystemConfig;
 namespace emc::ckpt
 {
 
-constexpr std::uint32_t kVersion = 3;
+constexpr std::uint32_t kVersion = 4;
 constexpr char kMagic[8] = {'E', 'M', 'C', 'K', 'P', 'T', '1', '\n'};
 /// Outer magic of a deflate-compressed image.
 constexpr char kZMagic[8] = {'E', 'M', 'C', 'K', 'P', 'T', 'Z', '\n'};

@@ -80,7 +80,7 @@ class Ar
 
     /**
      * A loading archive that borrows @p n bytes at @p data instead of
-     * owning a copy — restore paths hand whole ~100 MB images through
+     * owning a copy — restore paths hand whole multi-MB images through
      * here, where the copy is measurable. The caller keeps the bytes
      * alive for the archive's lifetime.
      */
@@ -235,8 +235,17 @@ class Ar
     {
         std::uint64_t n = v.size();
         raw64(n);
-        if (loading())
+        if (loading()) {
+            // A corrupt length must fail as a truncated stream, not as
+            // a giant allocation: the bytes occupy at least n bytes.
+            if (n > rd_size_ - pos_) {
+                throw Error("checkpoint truncated: string of "
+                            + std::to_string(n) + " bytes at offset "
+                            + std::to_string(pos_) + " of "
+                            + std::to_string(rd_size_));
+            }
             v.assign(static_cast<std::size_t>(n), '\0');
+        }
         for (std::size_t i = 0; i < v.size(); i += 8) {
             std::uint64_t w = 0;
             if (saving_) {

@@ -121,6 +121,10 @@ System::System(const SystemConfig &cfg,
                 profileByName(benchmarks[i]), *memories_.back(),
                 trace::generatorSeed(cfg.seed, i));
         }
+        // What the generator just built is a pure function of (profile,
+        // seed): make it the base, so checkpoints carry only the words
+        // written from here on (DESIGN.md §7).
+        memories_.back()->seal();
         if (!cfg.capture_prefix.empty()) {
             auto inner = std::move(src);
             trace::Provenance prov;

@@ -12,6 +12,7 @@
 #include "sim/system.hh"
 
 #include "common/log.hh"
+#include "trace/record.hh"
 
 namespace emc
 {
@@ -39,8 +40,33 @@ System::ckptPayload(ckpt::Ar &ar, ckpt::Level level,
     };
 
     auto workload = [&] {
-        for (auto &m : memories_)
-            ar.io(*m);
+        // Per core: the (profile, generator seed) that rebuilt the
+        // target's base memory, then the words dirtied since (the
+        // load side reverts the target's own dirty words first).
+        std::uint64_t cores = memories_.size();
+        ar.io(cores);
+        if (cores != memories_.size()) {
+            throw ckpt::Error("checkpoint workload has "
+                              + std::to_string(cores)
+                              + " cores, target has "
+                              + std::to_string(memories_.size()));
+        }
+        for (unsigned i = 0; i < memories_.size(); ++i) {
+            const std::uint64_t own_seed = trace::generatorSeed(cfg_.seed, i);
+            std::string profile = benchmark_names_[i];
+            std::uint64_t seed = own_seed;
+            ar.io(profile);
+            ar.io(seed);
+            if (profile != benchmark_names_[i] || seed != own_seed) {
+                throw ckpt::Error(
+                    "checkpoint core " + std::to_string(i)
+                    + " was built from profile '" + profile + "' seed "
+                    + std::to_string(seed) + ", target from '"
+                    + benchmark_names_[i] + "' seed "
+                    + std::to_string(own_seed));
+            }
+            ar.io(*memories_[i]);
+        }
         for (auto &pt : page_tables_)
             ar.io(*pt);
         for (auto &p : programs_)
@@ -371,8 +397,8 @@ System::restoreCheckpointBytes(const std::vector<std::uint8_t> &bytes)
     }
 
     // parseHeader above already CRC-validated the payload; borrow the
-    // payload bytes in place instead of re-parsing and copying ~100 MB
-    // (the bulk of restore wall time on big images).
+    // payload bytes in place instead of re-parsing and copying the
+    // whole image.
     ckpt::Ar ar = ckpt::Ar::loaderView(bytes.data() + payload_off,
                                        bytes.size() - payload_off);
     ckptPayload(ar, h.level, nullptr);

@@ -10,6 +10,9 @@
  *    violations
  *  - warmup-level images fork into differing EMC/prefetcher configs,
  *    deterministically (byte-identical images run-to-run)
+ *  - the `workload` section carries only dirty memory words: restore
+ *    reverts the target's own dirty pages, checks each core's profile
+ *    and generator seed, and stays far below the old full-memory size
  *  - config-hash gating, corrupt/truncated images, and refusal paths
  *  - bench harness: per-job failure isolation in runMany(), the
  *    shared-vs-per-job warmup equivalence of runManyWarmShared(), and
@@ -85,6 +88,19 @@ expectIdentical(const StatDump &a, const StatDump &b, const char *what)
         EXPECT_EQ(ia->second, ib->second)
             << what << ": stat " << ia->first << " diverged";
     }
+}
+
+/** The TOC entry of section @p name in @p image. */
+emc::ckpt::Section
+sectionOf(const std::vector<std::uint8_t> &image, const std::string &name)
+{
+    for (const emc::ckpt::Section &s :
+         emc::ckpt::parseHeader(image).sections) {
+        if (s.name == name)
+            return s;
+    }
+    ADD_FAILURE() << "no section " << name;
+    return {};
 }
 
 std::string
@@ -316,6 +332,93 @@ TEST(CkptWarmup, HashRejectsWarmupIncompatibleConfigs)
     System other_mix(warm_cfg, {"libquantum"});
     EXPECT_THROW(other_mix.restoreCheckpointBytes(image),
                  emc::ckpt::Error);
+}
+
+TEST(CkptWarmup, RestoreIntoFastForwardedSystemMatchesFresh)
+{
+    SystemConfig cfg;
+    cfg.num_cores = 2;
+    cfg.target_uops = 800;
+    cfg.warmup_uops = 400;
+    // lbm dirties memory with stream stores; mcf mostly reads its ring.
+    const std::vector<std::string> mix = {"mcf", "lbm"};
+    const auto image = System(cfg, mix).fastwarmCheckpointBytes();
+
+    System fresh(cfg, mix);
+    fresh.restoreCheckpointBytes(image);
+    // A target whose programs already ran (functionally: fastForward
+    // writes memory without advancing the clock) and dirtied pages the
+    // image never touched.
+    System used(cfg, mix);
+    used.fastForward(5000);
+    used.restoreCheckpointBytes(image);
+
+    EXPECT_EQ(fresh.saveCheckpointBytes(emc::ckpt::Level::kFull),
+              used.saveCheckpointBytes(emc::ckpt::Level::kFull));
+    fresh.run();
+    used.run();
+    expectIdentical(fresh.dump(), used.dump(), "restore into used System");
+}
+
+TEST(CkptWarmup, RejectsProfileSeedAndVersionMismatches)
+{
+    SystemConfig cfg;
+    cfg.num_cores = 1;
+    cfg.target_uops = 600;
+    cfg.warmup_uops = 300;
+    const std::vector<std::string> mix = {"mcf"};
+    const auto image = System(cfg, mix).fastwarmCheckpointBytes();
+
+    std::size_t poff = 0;
+    const emc::ckpt::Header h = emc::ckpt::parseHeader(image, &poff);
+    const std::vector<std::uint8_t> payload(
+        image.begin() + static_cast<std::ptrdiff_t>(poff), image.end());
+    // Workload layout (ckpt.hh): marker, core count, then core 0's
+    // profile name (length word, bytes padded to a word) and seed.
+    const std::size_t name_at = sectionOf(image, "workload").offset + 24;
+    const std::size_t seed_at = name_at + 8;
+    ASSERT_EQ(payload[name_at], 'm');
+    auto patched = [&](std::size_t at, std::uint8_t flip) {
+        std::vector<std::uint8_t> p = payload;
+        p[at] ^= flip;
+        return emc::ckpt::assemble(h, p);  // fresh, valid CRC
+    };
+
+    System intact(cfg, mix);
+    EXPECT_NO_THROW(intact.restoreCheckpointBytes(patched(name_at, 0)));
+    System profile(cfg, mix);
+    EXPECT_THROW(profile.restoreCheckpointBytes(patched(name_at, 0x20)),
+                 emc::ckpt::Error);
+    System seed(cfg, mix);
+    EXPECT_THROW(seed.restoreCheckpointBytes(patched(seed_at, 0x01)),
+                 emc::ckpt::Error);
+    // A corrupt name length is a typed error, not a giant allocation.
+    System length(cfg, mix);
+    EXPECT_THROW(length.restoreCheckpointBytes(patched(name_at - 1, 0x40)),
+                 emc::ckpt::Error);
+
+    // The header's first word is the format version.
+    std::vector<std::uint8_t> v3 = image;
+    ASSERT_EQ(v3[16], emc::ckpt::kVersion);
+    v3[16] = 3;
+    System old(cfg, mix);
+    EXPECT_THROW(old.restoreCheckpointBytes(v3), emc::ckpt::Error);
+}
+
+TEST(CkptWarmup, WorkloadSectionCarriesOnlyDirtyWords)
+{
+    // The fastwarm-100k images of 4x mcf and 4x lbm; the old format
+    // stored every written word as a (key, value) pair, 100,864,456
+    // and 679,328 bytes of `workload` respectively.
+    SystemConfig cfg;
+    cfg.target_uops = 1000;
+    cfg.warmup_uops = 100000;
+    const auto mcf =
+        System(cfg, emc::bench::homo("mcf")).fastwarmCheckpointBytes();
+    EXPECT_LE(sectionOf(mcf, "workload").length, 100864456u / 20);
+    const auto lbm =
+        System(cfg, emc::bench::homo("lbm")).fastwarmCheckpointBytes();
+    EXPECT_LE(sectionOf(lbm, "workload").length, 679328u);
 }
 
 TEST(CkptWarmup, RequiresAConfiguredWarmupPhase)

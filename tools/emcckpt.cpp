@@ -2,7 +2,8 @@
  * @file
  * emcckpt — inspect checkpoint files without running the simulator.
  *
- *   emcckpt info FILE          header, level, hashes, section table
+ *   emcckpt info FILE          header, level, hashes, section table,
+ *                              per-core dirty pages/words of `workload`
  *   emcckpt verify FILE        full parse incl. payload CRC; exit 0/1
  *   emcckpt diff FILE FILE     compare headers and per-section bytes,
  *                              with chunk-level shared/unique deltas
@@ -28,6 +29,7 @@
 
 #include "ckpt/ckpt.hh"
 #include "ckpt/store.hh"
+#include "mem/functional_memory.hh"
 
 namespace
 {
@@ -98,6 +100,33 @@ printHeader(const std::string &path, const Header &h,
     }
 }
 
+/**
+ * Per-core dirty-page and dirty-word counts of the `workload` section
+ * (layout in ckpt.hh), so the section's size explains itself.
+ */
+void
+printWorkload(const std::uint8_t *payload, const Section &s)
+{
+    Ar ar = Ar::loaderView(payload + s.offset, s.length);
+    ar.marker("workload");
+    std::uint64_t cores = 0;
+    ar.io(cores);
+    std::printf("  %-6s %-12s %20s %12s %12s\n", "core", "profile",
+                "seed", "dirty pages", "dirty words");
+    for (std::uint64_t i = 0; i < cores; ++i) {
+        std::string profile;
+        std::uint64_t seed = 0;
+        emc::FunctionalMemory mem;
+        ar.io(profile);
+        ar.io(seed);
+        ar.io(mem);
+        std::printf("  %-6llu %-12s %20llu %12zu %12zu\n",
+                    static_cast<unsigned long long>(i), profile.c_str(),
+                    static_cast<unsigned long long>(seed),
+                    mem.dirtyPages(), mem.dirtyWords());
+    }
+}
+
 int
 cmdInfo(const std::string &path)
 {
@@ -107,6 +136,11 @@ cmdInfo(const std::string &path)
     std::size_t payload_at = 0;
     const Header h = parseHeader(file, &payload_at, true);
     printHeader(path, h, file.size(), file.size() - payload_at);
+    for (const Section &s : h.sections) {
+        if (s.name == "workload"
+            && payload_at + s.offset + s.length <= file.size())
+            printWorkload(file.data() + payload_at, s);
+    }
     return 0;
 }
 
