@@ -6,14 +6,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 
-#include "ckpt/store.hh"
 #include "common/thread_pool.hh"
-#include "sweep/sweep.hh"
 #include "workload/profile.hh"
 
 namespace emc::bench
@@ -99,69 +97,26 @@ envOr(const char *name)
 }
 
 /**
- * Sharded-run trace naming: job-indexed instead of the process-wide
- * counter, because forked workers each inherit a copy of that counter
- * and would collide on "<prefix>.run0.json".
- */
-void
-applyShardedTraceEnv(SystemConfig &cfg, std::size_t index)
-{
-    const char *prefix = envOr("EMC_TRACE");
-    if (!prefix || !cfg.trace_path.empty())
-        return;
-    cfg.trace_path =
-        std::string(prefix) + ".job" + std::to_string(index) + ".json";
-    if (const char *iv = std::getenv("EMC_TRACE_INTERVAL"))
-        cfg.trace_interval = std::strtoull(iv, nullptr, 10);
-}
-
-/**
- * Attach best-effort interval streaming onto the worker's message
- * pipe (EMC_SWEEP_STREAM_INTERVAL cycles; off unless set). The lines
- * ride the coordinator protocol as "interval" records.
- */
-void
-maybeAttachStream(System &sys, std::size_t index, std::FILE *msg)
-{
-    const char *iv = msg ? envOr("EMC_SWEEP_STREAM_INTERVAL") : nullptr;
-    if (!iv)
-        return;
-    char prefix[64];
-    std::snprintf(prefix, sizeof prefix,
-                  "\"type\":\"interval\",\"job\":%zu,", index);
-    sys.enableStatStream(msg, std::strtoull(iv, nullptr, 10), prefix);
-}
-
-/**
  * One runMany() job, honoring the crash-resume protocol: load the
  * job's .stats sidecar if a previous sweep already finished it,
  * otherwise restore its autosaved checkpoint (if any), run with
- * periodic autosave, and leave the sidecar behind for the next rerun.
- * Autosaves go to flat "<EMC_CKPT_DIR>/jobN.ckpt" files, or — when
- * EMC_CKPT_STORE is set instead — into a content-addressed
- * ckpt::Store, where config-point images of one sweep deduplicate
- * against each other. @p msg is the sharded worker's message pipe
- * (null for in-process runs).
+ * periodic autosave to "<EMC_CKPT_DIR>/jobN.ckpt", and leave the
+ * sidecar behind for the next rerun.
  */
 StatDump
-runJob(const RunJob &job, std::size_t index, std::FILE *msg = nullptr)
+runJob(const RunJob &job, std::size_t index)
 {
     const char *dir = envOr("EMC_CKPT_DIR");
-    const char *store_dir = envOr("EMC_CKPT_STORE");
-    if (!dir && !store_dir && !msg)
+    if (!dir)
         return run(job.cfg, job.benchmarks);
 
     SystemConfig cfg = job.cfg;
-    if (msg)
-        applyShardedTraceEnv(cfg, index);
-    else
-        applyTraceEnv(cfg);
+    applyTraceEnv(cfg);
 
-    const std::string jobname = "job" + std::to_string(index);
-    const std::string base = dir ? dir : (store_dir ? store_dir : "");
+    const std::string base =
+        std::string(dir) + "/job" + std::to_string(index);
     StatDump cached;
-    if (!base.empty()
-        && loadStatsFile(base + "/" + jobname + ".stats", cached))
+    if (loadStatsFile(base + ".stats", cached))
         return cached;
 
     Cycle interval = 1000000;
@@ -169,30 +124,13 @@ runJob(const RunJob &job, std::size_t index, std::FILE *msg = nullptr)
         interval = std::strtoull(iv, nullptr, 10);
 
     System sys(cfg, job.benchmarks);
-    std::shared_ptr<ckpt::Store> store;
-    if (store_dir) {
-        store = std::make_shared<ckpt::Store>(store_dir);
-        if (store->has(jobname))
-            sys.restoreCheckpointBytes(store->get(jobname));
-    } else if (dir) {
-        const std::string ckpt = base + "/" + jobname + ".ckpt";
-        if (fileExists(ckpt))
-            sys.restoreCheckpoint(ckpt);
-    }
-    maybeAttachStream(sys, index, msg);
-    if (store) {
-        sys.setAutosave(
-            [store, jobname](std::vector<std::uint8_t> &&img) {
-                store->put(jobname, img);
-            },
-            interval);
-    } else if (dir) {
-        sys.setAutosave(base + "/" + jobname + ".ckpt", interval);
-    }
+    const std::string ckpt = base + ".ckpt";
+    if (fileExists(ckpt))
+        sys.restoreCheckpoint(ckpt);
+    sys.setAutosave(ckpt, interval);
     sys.run();
     StatDump d = sys.dump();
-    if (!base.empty())
-        writeStatsFile(base + "/" + jobname + ".stats", d);
+    writeStatsFile(base + ".stats", d);
     return d;
 }
 
@@ -205,7 +143,7 @@ runJob(const RunJob &job, std::size_t index, std::FILE *msg = nullptr)
  */
 StatDump
 runSampledJob(const RunJob &job, const SampleParams &p,
-              std::size_t index, std::FILE *msg = nullptr)
+              std::size_t index)
 {
     std::string sidecar;
     if (const char *dir = envOr("EMC_CKPT_DIR")) {
@@ -216,7 +154,6 @@ runSampledJob(const RunJob &job, const SampleParams &p,
             return cached;
     }
     System sys(job.cfg, job.benchmarks);
-    maybeAttachStream(sys, index, msg);
     sys.runSampled(p);
     StatDump d = sys.dump();
     if (!sidecar.empty())
@@ -224,12 +161,56 @@ runSampledJob(const RunJob &job, const SampleParams &p,
     return d;
 }
 
-/** Coordinator-side merged interval stream (EMC_SWEEP_STREAM=path). */
-std::FILE *
-openStreamSink()
+/**
+ * The sweep engine behind every runMany*() entry point: run job(i)
+ * for each i in [0, n) on benchThreads() pool workers, result i in
+ * slot i whatever order the jobs finish in. A job that throws leaves
+ * its slot default-constructed and does not stop the others. The
+ * failures, sorted by job index, go to @p failures; when that is
+ * null, each is printed to stderr and, after every job has finished,
+ * one std::runtime_error names the count and the first failed job.
+ */
+std::vector<StatDump>
+runPool(const char *who, std::size_t n,
+        const std::function<StatDump(std::size_t)> &job,
+        std::vector<RunFailure> *failures = nullptr)
 {
-    const char *path = envOr("EMC_SWEEP_STREAM");
-    return path ? std::fopen(path, "a") : nullptr;
+    std::vector<StatDump> results(n);
+    std::vector<RunFailure> failed;
+    std::mutex mu;
+    ThreadPool pool(benchThreads());
+    for (std::size_t i = 0; i < n; ++i) {
+        pool.submit([&, i] {
+            try {
+                results[i] = job(i);
+            } catch (const std::exception &e) {
+                std::lock_guard<std::mutex> lock(mu);
+                failed.push_back({i, e.what()});
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(mu);
+                failed.push_back({i, "unknown exception"});
+            }
+        });
+    }
+    pool.waitAll();
+    std::sort(failed.begin(), failed.end(),
+              [](const RunFailure &a, const RunFailure &b) {
+                  return a.index < b.index;
+              });
+    if (failures) {
+        *failures = std::move(failed);
+    } else if (!failed.empty()) {
+        for (const RunFailure &f : failed) {
+            std::fprintf(stderr, "%s: job %zu failed: %s\n", who,
+                         f.index, f.what.c_str());
+        }
+        throw std::runtime_error(
+            std::string(who) + ": " + std::to_string(failed.size())
+            + " of " + std::to_string(n) + " jobs failed (job "
+            + std::to_string(failed.front().index) + ": "
+            + failed.front().what + ")");
+    }
+    return results;
 }
 
 } // namespace
@@ -287,164 +268,28 @@ benchThreads()
     return ThreadPool::defaultThreads();
 }
 
-unsigned
-benchProcs()
-{
-    const char *e = envOr("EMC_BENCH_PROCS");
-    if (!e)
-        return 0;
-    return static_cast<unsigned>(std::strtoul(e, nullptr, 10));
-}
-
-std::vector<StatDump>
-runManySharded(const std::vector<RunJob> &jobs, unsigned procs,
-               std::vector<RunFailure> *failures)
-{
-    sweep::ShardOptions opt;
-    opt.abort_on_fail = false;
-    opt.forward_intervals = openStreamSink();
-
-    sweep::ShardReport rep;
-    try {
-        rep = sweep::runShardedReport(
-            jobs.size(), procs,
-            [&jobs](std::size_t i, std::FILE *msg) {
-                return runJob(jobs[i], i, msg);
-            },
-            opt);
-    } catch (...) {
-        if (opt.forward_intervals)
-            std::fclose(opt.forward_intervals);
-        throw;
-    }
-    if (opt.forward_intervals)
-        std::fclose(opt.forward_intervals);
-
-    std::vector<RunFailure> failed;
-    for (const sweep::JobFailure &f : rep.failures)
-        failed.push_back({f.job, f.what});
-    if (failures) {
-        *failures = std::move(failed);
-    } else if (!failed.empty()) {
-        for (const RunFailure &f : failed) {
-            std::fprintf(stderr, "runManySharded: job %zu failed: %s\n",
-                         f.index, f.what.c_str());
-        }
-        throw std::runtime_error(
-            "runManySharded: " + std::to_string(failed.size()) + " of "
-            + std::to_string(jobs.size()) + " jobs failed (job "
-            + std::to_string(failed.front().index) + ": "
-            + failed.front().what + ")");
-    }
-    return std::move(rep.results);
-}
-
 std::vector<StatDump>
 runMany(const std::vector<RunJob> &jobs,
         std::vector<RunFailure> *failures)
 {
-    if (const unsigned procs = benchProcs())
-        return runManySharded(jobs, procs, failures);
-
-    std::vector<StatDump> results(jobs.size());
-    std::vector<RunFailure> failed;
-    std::mutex mu;
-    ThreadPool pool(benchThreads());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const RunJob &job = jobs[i];
-        pool.submit([&, i] {
-            try {
-                results[i] = runJob(job, i);
-            } catch (const std::exception &e) {
-                std::lock_guard<std::mutex> lock(mu);
-                failed.push_back({i, e.what()});
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(mu);
-                failed.push_back({i, "unknown exception"});
-            }
-        });
-    }
-    pool.waitAll();
-    std::sort(failed.begin(), failed.end(),
-              [](const RunFailure &a, const RunFailure &b) {
-                  return a.index < b.index;
-              });
-    if (failures)
-        *failures = std::move(failed);
-    return results;
+    return runPool(
+        "runMany", jobs.size(),
+        [&jobs](std::size_t i) { return runJob(jobs[i], i); }, failures);
 }
 
 std::vector<StatDump>
 runMany(const std::vector<RunJob> &jobs)
 {
-    std::vector<RunFailure> failures;
-    std::vector<StatDump> results = runMany(jobs, &failures);
-    if (!failures.empty()) {
-        for (const RunFailure &f : failures) {
-            std::fprintf(stderr, "runMany: job %zu failed: %s\n",
-                         f.index, f.what.c_str());
-        }
-        throw std::runtime_error(
-            "runMany: " + std::to_string(failures.size()) + " of "
-            + std::to_string(jobs.size()) + " jobs failed (job "
-            + std::to_string(failures.front().index) + ": "
-            + failures.front().what + ")");
-    }
-    return results;
+    return runMany(jobs, nullptr);
 }
 
 std::vector<StatDump>
 runManySampled(const std::vector<RunJob> &jobs, const SampleParams &p)
 {
-    if (const unsigned procs = benchProcs()) {
-        sweep::ShardOptions opt;
-        opt.forward_intervals = openStreamSink();
-        std::vector<StatDump> results;
-        try {
-            results = sweep::runSharded(
-                jobs.size(), procs,
-                [&jobs, &p](std::size_t i, std::FILE *msg) {
-                    return runSampledJob(jobs[i], p, i, msg);
-                },
-                opt);
-        } catch (...) {
-            if (opt.forward_intervals)
-                std::fclose(opt.forward_intervals);
-            throw;
-        }
-        if (opt.forward_intervals)
-            std::fclose(opt.forward_intervals);
-        return results;
-    }
-
-    std::vector<StatDump> results(jobs.size());
-    std::vector<RunFailure> failed;
-    std::mutex mu;
-    ThreadPool pool(benchThreads());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const RunJob &job = jobs[i];
-        pool.submit([&, i] {
-            try {
-                results[i] = runSampledJob(job, p, i);
-            } catch (const std::exception &e) {
-                std::lock_guard<std::mutex> lock(mu);
-                failed.push_back({i, e.what()});
-            }
-        });
-    }
-    pool.waitAll();
-    if (!failed.empty()) {
-        std::sort(failed.begin(), failed.end(),
-                  [](const RunFailure &a, const RunFailure &b) {
-                      return a.index < b.index;
-                  });
-        throw std::runtime_error(
-            "runManySampled: " + std::to_string(failed.size()) + " of "
-            + std::to_string(jobs.size()) + " jobs failed (job "
-            + std::to_string(failed.front().index) + ": "
-            + failed.front().what + ")");
-    }
-    return results;
+    return runPool("runManySampled", jobs.size(),
+                   [&jobs, &p](std::size_t i) {
+                       return runSampledJob(jobs[i], p, i);
+                   });
 }
 
 std::vector<StatDump>
@@ -452,91 +297,16 @@ runManyWarmShared(const SystemConfig &warm_cfg,
                   const std::vector<std::string> &benchmarks,
                   const std::vector<SystemConfig> &cfgs)
 {
-    bool shared = true;
-    if (const char *e = std::getenv("EMC_CKPT_SHARED_WARMUP"))
-        shared = std::string(e) != "0";
-
-    std::vector<std::uint8_t> warm;
-    if (shared)
-        warm = System(warm_cfg, benchmarks).warmupCheckpointBytes();
-
-    if (const unsigned procs = benchProcs()) {
-        // The warm image is materialized *before* the fork, so every
-        // worker shares its pages copy-on-write — N processes, one
-        // warmup RSS.
-        sweep::ShardOptions opt;
-        opt.forward_intervals = openStreamSink();
-        std::vector<StatDump> results;
-        try {
-            results = sweep::runSharded(
-                cfgs.size(), procs,
-                [&](std::size_t i, std::FILE *msg) {
-                    std::vector<std::uint8_t> own;
-                    if (!shared) {
-                        own = System(warm_cfg, benchmarks)
-                                  .warmupCheckpointBytes();
-                    }
-                    SystemConfig cfg = cfgs[i];
-                    cfg.warmup_uops = 0;
-                    System sys(cfg, benchmarks);
-                    sys.restoreCheckpointBytes(shared ? warm : own);
-                    maybeAttachStream(sys, i, msg);
-                    sys.run();
-                    return sys.dump();
-                },
-                opt);
-        } catch (...) {
-            if (opt.forward_intervals)
-                std::fclose(opt.forward_intervals);
-            throw;
-        }
-        if (opt.forward_intervals)
-            std::fclose(opt.forward_intervals);
-        return results;
-    }
-
-    std::vector<StatDump> results(cfgs.size());
-    std::vector<RunFailure> failed;
-    std::mutex mu;
-    ThreadPool pool(benchThreads());
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        pool.submit([&, i] {
-            try {
-                std::vector<std::uint8_t> own;
-                if (!shared)
-                    own = System(warm_cfg, benchmarks)
-                              .warmupCheckpointBytes();
-                SystemConfig cfg = cfgs[i];
-                cfg.warmup_uops = 0;
-                System sys(cfg, benchmarks);
-                sys.restoreCheckpointBytes(shared ? warm : own);
-                sys.run();
-                results[i] = sys.dump();
-            } catch (const std::exception &e) {
-                std::lock_guard<std::mutex> lock(mu);
-                failed.push_back({i, e.what()});
-            }
-        });
-    }
-    pool.waitAll();
-    if (!failed.empty()) {
-        std::sort(failed.begin(), failed.end(),
-                  [](const RunFailure &a, const RunFailure &b) {
-                      return a.index < b.index;
-                  });
-        for (const RunFailure &f : failed) {
-            std::fprintf(stderr,
-                         "runManyWarmShared: config %zu failed: %s\n",
-                         f.index, f.what.c_str());
-        }
-        throw std::runtime_error(
-            "runManyWarmShared: " + std::to_string(failed.size())
-            + " of " + std::to_string(cfgs.size())
-            + " configs failed (config "
-            + std::to_string(failed.front().index) + ": "
-            + failed.front().what + ")");
-    }
-    return results;
+    const std::vector<std::uint8_t> warm =
+        System(warm_cfg, benchmarks).warmupCheckpointBytes();
+    return runPool("runManyWarmShared", cfgs.size(), [&](std::size_t i) {
+        SystemConfig cfg = cfgs[i];
+        cfg.warmup_uops = 0;
+        System sys(cfg, benchmarks);
+        sys.restoreCheckpointBytes(warm);
+        sys.run();
+        return sys.dump();
+    });
 }
 
 double

@@ -62,58 +62,33 @@ struct RunFailure
 unsigned benchThreads();
 
 /**
- * Worker *processes* for sharded sweeps: the value of EMC_BENCH_PROCS
- * (0 when unset/empty). 0 keeps the in-process thread-pool path; any
- * other value routes runMany()/runManySampled()/runManyWarmShared()
- * through the src/sweep coordinator (DESIGN.md §9).
- */
-unsigned benchProcs();
-
-/**
  * Run every job to completion, fanning independent System instances
- * across benchThreads() hardware threads — or, when EMC_BENCH_PROCS
- * is set, across that many forked worker processes (DESIGN.md §9).
- * Results come back indexed by job — result[i] belongs to jobs[i] no
- * matter which worker ran it or in what order jobs finished, so
- * output is deterministic and byte-identical at any worker count.
+ * across benchThreads() pool workers. Results come back indexed by
+ * job — result[i] belongs to jobs[i] no matter which worker ran it or
+ * in what order jobs finished, so output is deterministic and
+ * byte-identical at any worker count.
  */
 std::vector<StatDump> runMany(const std::vector<RunJob> &jobs);
 
 /**
  * Like runMany(), but a job that throws does not take the bench down:
- * its failure (job index + exception message) is appended to
+ * its failure (job index + exception message) is stored in
  * @p failures, the remaining jobs still run to completion, and the
  * failed job's slot comes back as a default-constructed StatDump.
- * The overload without @p failures prints each failure to stderr and
- * throws after all jobs finish.
+ * The overload without @p failures (or with a null one) prints each
+ * failure to stderr and throws after all jobs finish.
  *
- * Crash-resumable sweeps (DESIGN.md §7): when EMC_CKPT_DIR is set,
+ * Crash-resumable sweeps (DESIGN.md §9): when EMC_CKPT_DIR is set,
  * each job autosaves a full checkpoint to "<dir>/jobN.ckpt" every
  * EMC_CKPT_INTERVAL cycles (default 1000000) and writes its final
  * stats to "<dir>/jobN.stats". A rerun of the same job list resumes:
  * finished jobs load their .stats file without simulating, interrupted
- * jobs restore their .ckpt and continue. EMC_CKPT_STORE=<dir> is the
- * content-addressed variant: autosaves deduplicate into a ckpt::Store
- * instead of flat per-job files (DESIGN.md §9). Checkpointing is
+ * jobs restore their .ckpt and continue. Checkpointing is
  * incompatible with EMC_TRACE on the same run (restore refuses
  * attached tracers).
  */
 std::vector<StatDump> runMany(const std::vector<RunJob> &jobs,
                               std::vector<RunFailure> *failures);
-
-/**
- * The EMC_BENCH_PROCS execution engine, callable directly: shard
- * @p jobs across @p procs forked worker processes with dynamic
- * self-scheduling, per-job crash-resume (EMC_CKPT_DIR /
- * EMC_CKPT_STORE, as above) and automatic re-queue of jobs whose
- * worker dies. With EMC_SWEEP_STREAM_INTERVAL=N set, workers stream
- * interval stats over their message pipes, and EMC_SWEEP_STREAM=path
- * appends the merged JSONL to @p path. Failure semantics follow the
- * two runMany() overloads (@p failures null => throw).
- */
-std::vector<StatDump>
-runManySharded(const std::vector<RunJob> &jobs, unsigned procs,
-               std::vector<RunFailure> *failures = nullptr);
 
 /**
  * Warm-once-fork-many sweep (DESIGN.md §7): run the warmup phase under
@@ -122,13 +97,10 @@ runManySharded(const std::vector<RunJob> &jobs, unsigned procs,
  * @p cfgs from that same snapshot. Every cfg must agree with
  * @p warm_cfg on the warmup-relevant fields (cores, cache geometry,
  * seed, workload) but may vary EMC / prefetcher / DRAM parameters —
- * exactly the fields an ablation sweeps.
- *
- * EMC_CKPT_SHARED_WARMUP=0 disables the sharing: each job then warms
- * up independently from @p warm_cfg. Because warmup is deterministic
- * the per-job images are byte-identical to the shared one, so results
- * do not change — only the redundant warmup work comes back.
- * EMC_TRACE is ignored for these runs (restore refuses tracers).
+ * exactly the fields an ablation sweeps. A config whose run throws
+ * fails like a runMany() job: the others finish, then one
+ * std::runtime_error names it. EMC_TRACE is ignored for these runs
+ * (restore refuses tracers).
  */
 std::vector<StatDump>
 runManyWarmShared(const SystemConfig &warm_cfg,
@@ -145,7 +117,8 @@ runManyWarmShared(const SystemConfig &warm_cfg,
  * at job granularity: a finished job's "<dir>/jobN.sampled.stats"
  * sidecar is reloaded instead of re-simulating, while an interrupted
  * job restarts from scratch (the fastwarm phase has no mid-run
- * checkpoint). EMC_BENCH_PROCS shards jobs across processes.
+ * checkpoint). Failures throw like the runMany() overload without
+ * a failure list.
  */
 std::vector<StatDump> runManySampled(const std::vector<RunJob> &jobs,
                                      const SampleParams &p);

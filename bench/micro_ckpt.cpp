@@ -9,10 +9,10 @@
  * and the save / restore wall costs and image size are recorded.
  *
  * Part 2 measures the warm-once-fork-many win: N ablation-style
- * config points run once with the shared warmup image and once with
- * per-job warmup (EMC_CKPT_SHARED_WARMUP=0), pinned to one worker
- * thread so the wall-clock difference is the redundant warmup work
- * and not scheduling luck. Both modes must produce identical stats.
+ * config points run once through runManyWarmShared() and once in a
+ * loop that builds each point its own warm image, both on one thread
+ * so the wall-clock difference is the redundant warmup work and not
+ * scheduling luck. Both modes must produce identical stats.
  *
  * Usage: micro_ckpt [--smoke] [output.json]
  *   --smoke   tiny run lengths (CI sanity run)
@@ -146,19 +146,26 @@ main(int argc, char **argv)
                 cfgs.size());
     setenv("EMC_BENCH_THREADS", "1", 1);
 
-    setenv("EMC_CKPT_SHARED_WARMUP", "1", 1);
     const auto s0 = std::chrono::steady_clock::now();
     const std::vector<StatDump> shared =
         runManyWarmShared(warm_cfg, mix, cfgs);
     const auto s1 = std::chrono::steady_clock::now();
 
-    setenv("EMC_CKPT_SHARED_WARMUP", "0", 1);
-    const auto n0 = std::chrono::steady_clock::now();
-    const std::vector<StatDump> perjob =
-        runManyWarmShared(warm_cfg, mix, cfgs);
-    const auto n1 = std::chrono::steady_clock::now();
-    unsetenv("EMC_CKPT_SHARED_WARMUP");
     unsetenv("EMC_BENCH_THREADS");
+
+    const auto n0 = std::chrono::steady_clock::now();
+    std::vector<StatDump> perjob;
+    for (const SystemConfig &point : cfgs) {
+        const std::vector<std::uint8_t> own =
+            System(warm_cfg, mix).warmupCheckpointBytes();
+        SystemConfig c = point;
+        c.warmup_uops = 0;
+        System sys(c, mix);
+        sys.restoreCheckpointBytes(own);
+        sys.run();
+        perjob.push_back(sys.dump());
+    }
+    const auto n1 = std::chrono::steady_clock::now();
 
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
         if (!sameStats(shared[i], perjob[i],

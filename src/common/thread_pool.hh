@@ -1,7 +1,7 @@
 /**
  * @file
  * A small reusable worker-thread pool for fanning independent jobs
- * (whole-System bench runs, future sharded workloads) across hardware
+ * (whole-System bench runs, DESIGN.md §9) across hardware
  * threads. Deliberately minimal: submit closures, wait for all of
  * them; no futures-per-job, no work stealing.
  *

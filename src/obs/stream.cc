@@ -5,19 +5,6 @@
 namespace emc::obs
 {
 
-void
-writeStatsObject(std::FILE *out, const StatDump &d, int digits)
-{
-    std::fputc('{', out);
-    bool first = true;
-    for (const auto &[name, value] : d.all()) {
-        std::fprintf(out, "%s\"%s\":%.*g", first ? "" : ",",
-                     name.c_str(), digits, value);
-        first = false;
-    }
-    std::fputc('}', out);
-}
-
 StatStreamer::StatStreamer(const std::string &path, Cycle interval)
     : interval_(interval < 1 ? 1 : interval)
 {
@@ -25,19 +12,9 @@ StatStreamer::StatStreamer(const std::string &path, Cycle interval)
     out_ = std::fopen(path.c_str(), "w");
 }
 
-StatStreamer::StatStreamer(std::FILE *out, Cycle interval,
-                           std::string prefix)
-    : out_(out),
-      owns_(false),
-      prefix_(std::move(prefix)),
-      interval_(interval < 1 ? 1 : interval)
-{
-    next_ = interval_;
-}
-
 StatStreamer::~StatStreamer()
 {
-    if (out_ && owns_)
+    if (out_)
         std::fclose(out_);
     out_ = nullptr;
 }
@@ -45,10 +22,15 @@ StatStreamer::~StatStreamer()
 void
 StatStreamer::writeLine(Cycle now, const StatDump &d)
 {
-    std::fprintf(out_, "{%s\"cycle\":%" PRIu64 ",\"stats\":",
-                 prefix_.c_str(), static_cast<std::uint64_t>(now));
-    writeStatsObject(out_, d, 9);
-    std::fputs("}\n", out_);
+    std::fprintf(out_, "{\"cycle\":%" PRIu64 ",\"stats\":{",
+                 static_cast<std::uint64_t>(now));
+    bool first = true;
+    for (const auto &[name, value] : d.all()) {
+        std::fprintf(out_, "%s\"%s\":%.9g", first ? "" : ",",
+                     name.c_str(), value);
+        first = false;
+    }
+    std::fputs("}}\n", out_);
     ++lines_;
 }
 
@@ -69,10 +51,7 @@ StatStreamer::finish(Cycle now, const StatDump &d)
     if (!out_)
         return;
     writeLine(now, d);
-    if (owns_)
-        std::fclose(out_);
-    else
-        std::fflush(out_);
+    std::fclose(out_);
     out_ = nullptr;
 }
 

@@ -9,11 +9,6 @@
  * aggregate. The System drives it from the event loop (cycle-skip
  * aware: a skipped idle region still produces its due snapshots) and
  * writes a final snapshot when the run ends.
- *
- * A streamer can also ride an already-open FILE it does not own (the
- * sweep coordinator pipe, DESIGN.md §9): finish() then flushes instead
- * of closing, and an optional prefix string is spliced into each line
- * so multiplexed writers stay distinguishable.
  */
 
 #ifndef EMC_OBS_STREAM_HH
@@ -28,15 +23,6 @@
 namespace emc::obs
 {
 
-/**
- * Write @p d to @p out as a JSON object `{"name":value,...}` with
- * @p digits significant digits (17 round-trips doubles bit-exactly,
- * 9 is the compact interval-stream precision). Shared by the stat
- * streamer and the sweep worker protocol so both sides agree on the
- * encoding.
- */
-void writeStatsObject(std::FILE *out, const StatDump &d, int digits);
-
 /** Streams periodic StatDump snapshots as JSONL. */
 class StatStreamer
 {
@@ -47,14 +33,6 @@ class StatStreamer
      */
     StatStreamer(const std::string &path, Cycle interval);
 
-    /**
-     * Stream onto an already-open @p out this streamer does NOT own:
-     * finish() flushes instead of closing. @p prefix is emitted
-     * verbatim after the opening brace of every line (e.g.
-     * `"type":"interval","job":3,`), empty for none.
-     */
-    StatStreamer(std::FILE *out, Cycle interval, std::string prefix);
-
     ~StatStreamer();
 
     StatStreamer(const StatStreamer &) = delete;
@@ -63,16 +41,13 @@ class StatStreamer
     /** True if the output file opened successfully. */
     bool ok() const { return out_ != nullptr; }
 
-    /** True when this streamer owns (and will close) its FILE. */
-    bool ownsFile() const { return owns_; }
-
     /** First cycle at/after which the next snapshot is due. */
     Cycle nextDue() const { return next_; }
 
     /** Write one snapshot line and advance the schedule past @p now. */
     void snapshot(Cycle now, const StatDump &d);
 
-    /** Write a final snapshot and close (or flush) the file. Idempotent. */
+    /** Write a final snapshot and close the file. Idempotent. */
     void finish(Cycle now, const StatDump &d);
 
     /** Snapshot lines written so far. */
@@ -82,8 +57,6 @@ class StatStreamer
     void writeLine(Cycle now, const StatDump &d);
 
     std::FILE *out_ = nullptr;
-    bool owns_ = true;
-    std::string prefix_;
     Cycle interval_;
     Cycle next_;
     std::uint64_t lines_ = 0;

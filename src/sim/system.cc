@@ -389,21 +389,6 @@ System::finalizeChecks()
 // --------------------------------------------------------------------
 
 void
-System::enableStatStream(std::FILE *out, Cycle interval,
-                         const std::string &prefix)
-{
-    if (interval == 0 || !out) {
-        streamer_.reset();
-        return;
-    }
-    streamer_ =
-        std::make_unique<obs::StatStreamer>(out, interval, prefix);
-    // A worker attaching mid-run (after a checkpoint restore) emits
-    // its first line at the next tick; snapshot() then realigns the
-    // schedule past now() in whole intervals.
-}
-
-void
 System::enableTracing(const std::string &trace_path,
                       std::size_t buffer_events, Cycle stream_interval)
 {

@@ -11,7 +11,6 @@
 #ifndef EMC_SIM_SYSTEM_HH
 #define EMC_SIM_SYSTEM_HH
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -213,19 +212,6 @@ class System : public CorePort
     /** The attached tracer (null when tracing is disabled). */
     obs::Tracer *tracer() { return tracer_.get(); }
 
-    /**
-     * Stream interval stat snapshots onto an already-open @p out that
-     * this System does NOT own (the sweep worker pipe, DESIGN.md §9):
-     * one JSONL object every @p interval cycles, each line opening
-     * with the verbatim @p prefix (e.g. `"type":"interval","job":3,`).
-     * Unlike a file-backed streamer this does not make the run
-     * checkpoint-refusing: the stream is best-effort observational, so
-     * a crash-resumed run may re-emit interval lines consumers must
-     * tolerate. @p interval 0 detaches.
-     */
-    void enableStatStream(std::FILE *out, Cycle interval,
-                          const std::string &prefix);
-
     /** Always-on phase-latency histograms (exported as `phase.*`). */
     const obs::PhaseAccumulator &phases() const { return phases_; }
 
@@ -282,17 +268,6 @@ class System : public CorePort
      * keeps the file valid at all times). @p interval 0 disables.
      */
     void setAutosave(const std::string &path, Cycle interval);
-
-    /**
-     * Autosave variant that hands each full checkpoint image to
-     * @p sink instead of a file path — the hook the sweep runner uses
-     * to autosave into a content-addressed ckpt::Store. The sink runs
-     * between ticks with the machine quiescent; it must not touch the
-     * System. @p interval 0 (or a null sink) disables.
-     */
-    void setAutosave(std::function<void(std::vector<std::uint8_t> &&)>
-                         sink,
-                     Cycle interval);
 
     /**
      * Deflate-compress checkpoint images this System writes to disk
@@ -675,7 +650,6 @@ class System : public CorePort
     Cycle ckpt_at_ = kNoCycle;
     ckpt::Level ckpt_level_ = ckpt::Level::kFull;
     std::string autosave_path_;
-    std::function<void(std::vector<std::uint8_t> &&)> autosave_sink_;
     Cycle autosave_interval_ = 0;
     Cycle next_autosave_ = kNoCycle;
     bool ckpt_compress_ = false;

@@ -232,10 +232,7 @@ System::ckptPayload(ckpt::Ar &ar, ckpt::Level level,
 void
 System::ckptRefuseIfObserved(const char *what) const
 {
-    // A streamer on a borrowed FILE (the sweep worker pipe) is exempt:
-    // that stream is declared best-effort, so resumed runs may repeat
-    // interval lines instead of blocking checkpoints.
-    if (tracer_ || (streamer_ && streamer_->ownsFile())) {
+    if (tracer_ || streamer_) {
         throw ckpt::Error(
             std::string(what)
             + " refused: a tracer or stat streamer is attached and "
@@ -444,25 +441,6 @@ System::setAutosave(const std::string &path, Cycle interval)
         return;
     }
     autosave_path_ = path;
-    autosave_sink_ = nullptr;
-    autosave_interval_ = interval;
-    next_autosave_ = now_ + interval;
-}
-
-void
-System::setAutosave(
-    std::function<void(std::vector<std::uint8_t> &&)> sink,
-    Cycle interval)
-{
-    if (interval == 0 || !sink) {
-        autosave_path_.clear();
-        autosave_sink_ = nullptr;
-        autosave_interval_ = 0;
-        next_autosave_ = kNoCycle;
-        return;
-    }
-    autosave_path_.clear();
-    autosave_sink_ = std::move(sink);
     autosave_interval_ = interval;
     next_autosave_ = now_ + interval;
 }
@@ -478,10 +456,6 @@ System::maybeCheckpoint()
     }
     if (!autosave_path_.empty() && now_ >= next_autosave_) {
         saveCheckpoint(autosave_path_, ckpt::Level::kFull);
-        next_autosave_ = now_ + autosave_interval_;
-    }
-    if (autosave_sink_ && now_ >= next_autosave_) {
-        autosave_sink_(saveCheckpointBytes(ckpt::Level::kFull));
         next_autosave_ = now_ + autosave_interval_;
     }
 }

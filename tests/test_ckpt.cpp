@@ -14,9 +14,10 @@
  *    reverts the target's own dirty pages, checks each core's profile
  *    and generator seed, and stays far below the old full-memory size
  *  - config-hash gating, corrupt/truncated images, and refusal paths
- *  - bench harness: per-job failure isolation in runMany(), the
- *    shared-vs-per-job warmup equivalence of runManyWarmShared(), and
- *    crash-resume through EMC_CKPT_DIR autosaves
+ *  - bench harness: per-job failure isolation in runMany(),
+ *    runManySampled() and runManyWarmShared(), the shared-vs-per-job
+ *    warmup equivalence of runManyWarmShared(), and crash-resume
+ *    through EMC_CKPT_DIR autosaves
  */
 
 #include <cstdio>
@@ -520,13 +521,21 @@ TEST(BenchHarness, SharedWarmupMatchesPerJobWarmup)
         points.push_back(c);
     }
 
-    setenv("EMC_CKPT_SHARED_WARMUP", "1", 1);
     const std::vector<StatDump> shared =
         emc::bench::runManyWarmShared(warm_cfg, mix, points);
-    setenv("EMC_CKPT_SHARED_WARMUP", "0", 1);
-    const std::vector<StatDump> perjob =
-        emc::bench::runManyWarmShared(warm_cfg, mix, points);
-    unsetenv("EMC_CKPT_SHARED_WARMUP");
+    // Per-job warmup by hand: every point restores a warm image of
+    // its own, built from warm_cfg just as the shared one is.
+    std::vector<StatDump> perjob;
+    for (const SystemConfig &point : points) {
+        const std::vector<std::uint8_t> own =
+            System(warm_cfg, mix).warmupCheckpointBytes();
+        SystemConfig c = point;
+        c.warmup_uops = 0;
+        System sys(c, mix);
+        sys.restoreCheckpointBytes(own);
+        sys.run();
+        perjob.push_back(sys.dump());
+    }
 
     ASSERT_EQ(shared.size(), points.size());
     ASSERT_EQ(perjob.size(), points.size());
@@ -538,4 +547,50 @@ TEST(BenchHarness, SharedWarmupMatchesPerJobWarmup)
     // otherwise the equality above compares two copies of one run.
     EXPECT_NE(shared[0].get("system.cycles"),
               shared[1].get("system.cycles"));
+}
+
+TEST(BenchHarness, SampledAndWarmSharedNameTheFailedJob)
+{
+    // Job 1 of each sweep throws: its trace file does not exist, or
+    // its seed does not match the shared warm image. The error must
+    // name job 1, and "1 of 3" shows the other two ran to completion.
+    const std::string dir = tmpPath("named_fail");
+    std::filesystem::create_directories(dir);
+    SystemConfig cfg;
+    cfg.num_cores = 1;
+    cfg.target_uops = 800;
+    cfg.warmup_uops = 400;
+    const std::vector<std::string> mix = {"mcf"};
+
+    std::vector<emc::bench::RunJob> jobs(3, {cfg, mix});
+    jobs[1].cfg.trace_files = {dir + "/missing.emctrace"};
+    emc::SampleParams p;
+    p.period = 400;
+    p.detail = 100;
+    setenv("EMC_CKPT_DIR", dir.c_str(), 1);
+    try {
+        emc::bench::runManySampled(jobs, p);
+        ADD_FAILURE() << "runManySampled did not throw";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("1 of 3 jobs failed (job 1:"),
+                  std::string::npos)
+            << e.what();
+    }
+    unsetenv("EMC_CKPT_DIR");
+    // The jobs that did not throw left their finished-job sidecars.
+    EXPECT_TRUE(std::filesystem::exists(dir + "/job0.sampled.stats"));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/job1.sampled.stats"));
+    EXPECT_TRUE(std::filesystem::exists(dir + "/job2.sampled.stats"));
+
+    std::vector<SystemConfig> points(3, cfg);
+    points[1].seed = cfg.seed + 1;
+    try {
+        emc::bench::runManyWarmShared(cfg, mix, points);
+        ADD_FAILURE() << "runManyWarmShared did not throw";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("1 of 3 jobs failed (job 1:"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::filesystem::remove_all(dir);
 }

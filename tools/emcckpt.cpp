@@ -6,29 +6,19 @@
  *                              per-core dirty pages/words of `workload`
  *   emcckpt verify FILE        full parse incl. payload CRC; exit 0/1
  *   emcckpt diff FILE FILE     compare headers and per-section bytes,
- *                              with chunk-level shared/unique deltas
- *                              (the store's dedup granularity)
- *   emcckpt store DIR put NAME FILE    add an image to a store
- *   emcckpt store DIR get NAME FILE    reassemble an image
- *   emcckpt store DIR ls               list stored images
- *   emcckpt store DIR stats            dedup accounting
- *   emcckpt store DIR gc               drop unreferenced chunks
+ *                              naming each section's first differing
+ *                              byte
  *
  * Operates on the container bytes alone (src/ckpt has no System
  * dependency), so it works on images from any build of the simulator
  * with the same format version.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ckpt/ckpt.hh"
-#include "ckpt/store.hh"
 #include "mem/functional_memory.hh"
 
 namespace
@@ -42,41 +32,7 @@ usage()
     std::fprintf(stderr,
                  "usage: emcckpt info FILE\n"
                  "       emcckpt verify FILE\n"
-                 "       emcckpt diff FILE FILE\n"
-                 "       emcckpt store DIR put NAME FILE\n"
-                 "       emcckpt store DIR get NAME FILE\n"
-                 "       emcckpt store DIR ls\n"
-                 "       emcckpt store DIR stats\n"
-                 "       emcckpt store DIR gc\n");
-}
-
-/** 64 KB chunk hashes of @p n bytes at @p p (the store granularity). */
-std::set<std::pair<std::uint64_t, std::uint64_t>>
-chunkSet(const std::uint8_t *p, std::uint64_t n)
-{
-    constexpr std::uint64_t kChunk = 1 << 16;
-    std::set<std::pair<std::uint64_t, std::uint64_t>> out;
-    for (std::uint64_t off = 0; off < n; off += kChunk) {
-        const std::uint64_t len = std::min(kChunk, n - off);
-        out.insert({fnv1a(p + off, len), len});
-    }
-    return out;
-}
-
-/** Bytes of [@p p, @p p + @p n) whose chunks also appear in @p ref. */
-std::uint64_t
-sharedBytes(
-    const std::set<std::pair<std::uint64_t, std::uint64_t>> &ref,
-    const std::uint8_t *p, std::uint64_t n)
-{
-    constexpr std::uint64_t kChunk = 1 << 16;
-    std::uint64_t shared = 0;
-    for (std::uint64_t off = 0; off < n; off += kChunk) {
-        const std::uint64_t len = std::min(kChunk, n - off);
-        if (ref.count({fnv1a(p + off, len), len}))
-            shared += len;
-    }
-    return shared;
+                 "       emcckpt diff FILE FILE\n");
 }
 
 void
@@ -224,37 +180,20 @@ cmdDiff(const std::string &path_a, const std::string &path_b)
         const std::uint8_t *b = fb.data() + pb + sb->offset;
         if (sa.length != sb->length) {
             ++diffs;
-            const std::uint64_t shared =
-                sharedBytes(chunkSet(a, sa.length), b, sb->length);
-            std::printf("section %-8s %llu vs %llu bytes "
-                        "(%llu shared, %llu unique)\n",
+            std::printf("section %-8s %llu vs %llu bytes\n",
                         sa.name.c_str(),
                         static_cast<unsigned long long>(sa.length),
-                        static_cast<unsigned long long>(sb->length),
-                        static_cast<unsigned long long>(shared),
-                        static_cast<unsigned long long>(sb->length
-                                                        - shared));
+                        static_cast<unsigned long long>(sb->length));
             continue;
         }
         for (std::uint64_t i = 0; i < sa.length; ++i) {
             if (a[i] != b[i]) {
                 ++diffs;
-                // Chunk-level delta at the store's dedup granularity:
-                // how much of this section the store would still
-                // share between the two images.
-                const std::uint64_t shared = sharedBytes(
-                    chunkSet(a, sa.length), b, sb->length);
                 std::printf("section %-8s differs at payload byte"
-                            " %llu (%llu of %llu bytes shared,"
-                            " %llu unique)\n",
+                            " %llu\n",
                             sa.name.c_str(),
                             static_cast<unsigned long long>(
-                                sa.offset + i),
-                            static_cast<unsigned long long>(shared),
-                            static_cast<unsigned long long>(
-                                sa.length),
-                            static_cast<unsigned long long>(
-                                sa.length - shared));
+                                sa.offset + i));
                 break;
             }
         }
@@ -275,84 +214,7 @@ cmdDiff(const std::string &path_a, const std::string &path_b)
         std::printf("identical (%zu bytes)\n", fa.size());
         return 0;
     }
-
-    // Whole-image delta at store granularity: what a content-addressed
-    // store would pay to keep both images.
-    const std::uint64_t shared = sharedBytes(
-        chunkSet(fa.data(), fa.size()), fb.data(), fb.size());
-    std::printf("delta: %s shares %llu of %zu bytes with %s"
-                " (%llu unique, %.1f%% dedup)\n",
-                path_b.c_str(),
-                static_cast<unsigned long long>(shared), fb.size(),
-                path_a.c_str(),
-                static_cast<unsigned long long>(fb.size() - shared),
-                fb.empty() ? 0.0 : 100.0 * shared / fb.size());
     return 1;
-}
-
-int
-cmdStore(int argc, char **argv)
-{
-    // argv: store DIR SUB [ARGS...]
-    if (argc < 4) {
-        usage();
-        return 2;
-    }
-    const std::string dir = argv[2];
-    const std::string sub = argv[3];
-    emc::ckpt::Store store(dir);
-
-    if (sub == "put" && argc == 6) {
-        const StorePut p = store.put(argv[4], readFile(argv[5]));
-        std::printf("%s: %llu bytes in %llu chunks, %llu new"
-                    " (%llu bytes written), %llu reused"
-                    " (%llu bytes deduplicated)\n",
-                    argv[4],
-                    static_cast<unsigned long long>(p.image_bytes),
-                    static_cast<unsigned long long>(p.chunks),
-                    static_cast<unsigned long long>(p.new_chunks),
-                    static_cast<unsigned long long>(p.new_bytes),
-                    static_cast<unsigned long long>(p.reused_chunks),
-                    static_cast<unsigned long long>(p.reused_bytes));
-        return 0;
-    }
-    if (sub == "get" && argc == 6) {
-        writeFile(argv[5], store.get(argv[4]));
-        std::printf("%s -> %s\n", argv[4], argv[5]);
-        return 0;
-    }
-    if (sub == "ls" && argc == 4) {
-        for (const std::string &n : store.names())
-            std::printf("%s\n", n.c_str());
-        return 0;
-    }
-    if (sub == "stats" && argc == 4) {
-        const StoreStats s = store.stats();
-        std::printf("images:        %llu\n",
-                    static_cast<unsigned long long>(s.manifests));
-        std::printf("chunks:        %llu\n",
-                    static_cast<unsigned long long>(s.objects));
-        std::printf("logical bytes: %llu\n",
-                    static_cast<unsigned long long>(s.logical_bytes));
-        std::printf("stored bytes:  %llu (%llu objects + %llu"
-                    " manifests)\n",
-                    static_cast<unsigned long long>(s.storedBytes()),
-                    static_cast<unsigned long long>(s.object_bytes),
-                    static_cast<unsigned long long>(s.manifest_bytes));
-        if (s.storedBytes() > 0) {
-            std::printf("reduction:     %.2fx\n",
-                        static_cast<double>(s.logical_bytes)
-                            / static_cast<double>(s.storedBytes()));
-        }
-        return 0;
-    }
-    if (sub == "gc" && argc == 4) {
-        std::printf("freed %llu bytes\n",
-                    static_cast<unsigned long long>(store.gc()));
-        return 0;
-    }
-    usage();
-    return 2;
 }
 
 } // namespace
@@ -372,8 +234,6 @@ main(int argc, char **argv)
             return cmdVerify(argv[2]);
         if (cmd == "diff" && argc == 4)
             return cmdDiff(argv[2], argv[3]);
-        if (cmd == "store")
-            return cmdStore(argc, argv);
     } catch (const Error &e) {
         std::fprintf(stderr, "emcckpt: %s\n", e.what());
         return 1;

@@ -2,8 +2,9 @@
 determinism, checkpoint, and warming contracts (DESIGN.md §10).
 
 The repo's hard guarantees — bit-identical checkpoint restore (§7),
-byte-identical sharded sweeps (§9), and fast-warm equivalence (§8) —
-are behavioural contracts that ordinary compilers do not check.
+byte-identical sweeps at any worker count (§9), and fast-warm
+equivalence (§8) — are behavioural contracts that ordinary compilers
+do not check.
 emclint checks them statically:
 
   * a shared semantic model (`emclint.model`) describing classes,

@@ -170,29 +170,24 @@ _SPAWN_CALLS = {
     "fork", "vfork", "system", "popen", "execl", "execlp", "execle",
     "execv", "execvp", "execvpe", "posix_spawn", "posix_spawnp",
 }
-_SPAWN_EXEMPT = ("src/sweep/",)
 
 
 @register
 class ProcessSpawnRule(Rule):
     name = "process-spawn"
-    description = ("No raw fork()/system()/exec*() outside src/sweep/: "
-                   "process management lives in the sweep coordinator; "
-                   "an ad hoc fork inherits open stat/trace/ckpt "
-                   "streams and corrupts them at exit.")
+    description = ("No raw fork()/system()/exec*() anywhere: sweeps "
+                   "run on the in-process thread pool; a fork "
+                   "inherits open stat/trace/ckpt streams and "
+                   "corrupts them at exit.")
 
     def check_tu(self, tu: TranslationUnit,
                  program: Program) -> List[Finding]:
-        rel = tu.path.replace("\\", "/")
-        if any(e in rel for e in _SPAWN_EXEMPT):
-            return []
         out: List[Finding] = []
         for fn in tu.functions:
             for call in fn.calls:
                 if call.callee in _SPAWN_CALLS and call.recv is None:
                     out.append(Finding(
                         tu.path, call.line, self.name,
-                        "raw process spawn ('%s'); process management "
-                        "lives in the sweep coordinator (src/sweep/)"
-                        % call.callee))
+                        "raw process spawn ('%s'); sweeps run on the "
+                        "in-process thread pool" % call.callee))
         return out

@@ -1,4 +1,4 @@
-// Fixture: process-spawn — raw process management outside src/sweep/.
+// Fixture: process-spawn — raw process management, allowed nowhere.
 
 namespace fx
 {

@@ -1,20 +1,18 @@
 /**
  * @file
- * emcsweep — sharded parameter-sweep driver (DESIGN.md §9).
+ * emcsweep — parameter-sweep CLI (DESIGN.md §9).
  *
  *   emcsweep --mix H4 --emc --vary emc-contexts=1,2,4 \
- *            --vary sched=batch,frfcfs --procs 4
+ *            --vary sched=batch,frfcfs
  *
  * Builds the cross-product of every --vary axis over a base config,
- * runs one job per point through bench::runMany() — which shards
- * across worker processes when --procs (or EMC_BENCH_PROCS) is set —
- * and prints one row per point. Sweeps compose with the crash-resume
- * machinery: --ckpt-dir gives flat per-job autosaves, --store routes
- * them into a content-addressed checkpoint store, and a re-run of the
- * same command line resumes finished points from their sidecars.
- * --stream appends the merged worker interval-stat JSONL to a file.
+ * runs one job per point through bench::runMany() on the thread pool
+ * (EMC_BENCH_THREADS workers) and prints one row per point. Sweeps
+ * compose with the crash-resume machinery: --ckpt-dir gives per-job
+ * autosaves, and a re-run of the same command line reloads finished
+ * points from their sidecars and resumes interrupted ones.
  *
- * Results are job-indexed and byte-identical at any --procs value.
+ * Results are job-indexed and byte-identical at any worker count.
  */
 
 #include <cstdio>
@@ -35,7 +33,7 @@ void
 usage()
 {
     std::printf(
-        "emcsweep — sharded parameter sweeps over emcsim configs\n"
+        "emcsweep — parameter sweeps over emcsim configs\n"
         "\n"
         "workload (one of):\n"
         "  --workload a,b,...     benchmark per core (repeat last to"
@@ -53,15 +51,8 @@ usage()
         "                         emc-tlb, channels, ranks, sched\n"
         "\n"
         "execution:\n"
-        "  --procs N              worker processes (sets"
-        " EMC_BENCH_PROCS)\n"
         "  --ckpt-dir DIR         crash-resume autosaves"
         " (EMC_CKPT_DIR)\n"
-        "  --store DIR            content-addressed autosave store\n"
-        "                         (EMC_CKPT_STORE)\n"
-        "  --stream FILE          merged interval-stat JSONL"
-        " (EMC_SWEEP_STREAM)\n"
-        "  --stream-interval N    cycles between interval snapshots\n"
         "  --jsonl FILE           write final per-point stats as"
         " JSONL\n");
 }
@@ -174,7 +165,6 @@ main(int argc, char **argv)
     bool dual_mc = false;
     std::vector<std::string> workload;
     std::vector<Axis> axes;
-    unsigned procs = 0;
     std::string jsonl_path;
 
     for (int i = 1; i < argc; ++i) {
@@ -236,20 +226,8 @@ main(int argc, char **argv)
             }
             axes.push_back({spec.substr(0, eq),
                             splitCommas(spec.substr(eq + 1))});
-        } else if (a == "--procs") {
-            std::uint64_t v;
-            if (!parseU64(need("--procs"), v))
-                return 2;
-            procs = static_cast<unsigned>(v);
         } else if (a == "--ckpt-dir") {
             setenv("EMC_CKPT_DIR", need("--ckpt-dir"), 1);
-        } else if (a == "--store") {
-            setenv("EMC_CKPT_STORE", need("--store"), 1);
-        } else if (a == "--stream") {
-            setenv("EMC_SWEEP_STREAM", need("--stream"), 1);
-        } else if (a == "--stream-interval") {
-            setenv("EMC_SWEEP_STREAM_INTERVAL",
-                   need("--stream-interval"), 1);
         } else if (a == "--jsonl") {
             jsonl_path = need("--jsonl");
         } else {
@@ -263,8 +241,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "pick a workload (--workload or --mix)\n");
         return 2;
     }
-    if (procs > 0)
-        setenv("EMC_BENCH_PROCS", std::to_string(procs).c_str(), 1);
 
     if (cores == 8)
         base.scaleToEightCores(dual_mc);
@@ -311,8 +287,8 @@ main(int argc, char **argv)
             break;
     }
 
-    std::printf("emcsweep: %zu points, %u procs\n", jobs.size(),
-                bench::benchProcs());
+    std::printf("emcsweep: %zu points, %u threads\n", jobs.size(),
+                bench::benchThreads());
 
     std::vector<StatDump> results;
     try {

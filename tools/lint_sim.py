@@ -38,11 +38,11 @@ Rules (stdlib-only, regex-based -- fast enough to run on every CI push):
                  stats; a timing or stat side effect on the warm path
                  silently breaks that equivalence.
   process-spawn  No raw fork()/vfork()/system()/popen()/exec*()/
-                 posix_spawn() outside src/sweep/.  Process management
-                 lives in the sweep coordinator (DESIGN.md #9): an ad
-                 hoc fork elsewhere inherits the simulator's open stat
-                 streams, trace files, and checkpoint fds, and a child
-                 that exits through atexit handlers corrupts them.
+                 posix_spawn() anywhere.  Sweeps run on the in-process
+                 thread pool (DESIGN.md #9): a fork inherits the
+                 simulator's open stat streams, trace files, and
+                 checkpoint fds, and a child that exits through atexit
+                 handlers corrupts them.
 
   ckpt-field     Serialization code (ser()/ckptSer()/ckptSave()/
                  ckptLoad() bodies, including lambdas passed to the
@@ -95,11 +95,10 @@ RAW_NEW_RE = re.compile(r"\bnew\s+Transaction\b|\bdelete\s+\w*txn\w*\b")
 # event-push: direct pushes into the event queue.
 EVENT_PUSH_RE = re.compile(r"\bevents_\.push\s*\(")
 
-# process-spawn: raw process management outside the sweep coordinator.
+# process-spawn: raw process management, allowed nowhere.
 PROCESS_SPAWN_RE = re.compile(
     r"\b(?:::\s*)?(?:fork|vfork|system|popen|execl|execlp|execle|"
     r"execv|execvp|execvpe|posix_spawnp?)\s*\(")
-PROCESS_SPAWN_EXEMPT = ("src/sweep/",)
 
 # stat-dup: literal stat keys registered via StatMap::put("name", ...).
 STAT_PUT_RE = re.compile(r"\.put\(\s*\"([^\"]+)\"")
@@ -342,7 +341,6 @@ class Linter:
         rel = path.replace("\\", "/")
         rng_exempt = any(rel.endswith(e) for e in RNG_EXEMPT)
         trace_exempt = any(e in rel for e in TRACE_RECORD_EXEMPT)
-        spawn_exempt = any(e in rel for e in PROCESS_SPAWN_EXEMPT)
 
         self.check_ckpt_fields(path, lines, ok)
         self.check_fastwarm(path, lines, ok)
@@ -379,10 +377,10 @@ class Linter:
                 hit("event-push",
                     "direct event-queue push; go through System::schedule")
 
-            if not spawn_exempt and PROCESS_SPAWN_RE.search(code):
+            if PROCESS_SPAWN_RE.search(code):
                 hit("process-spawn",
-                    "raw process spawn; process management lives in "
-                    "the sweep coordinator (src/sweep/)")
+                    "raw process spawn; sweeps run on the in-process "
+                    "thread pool")
 
             if not trace_exempt and TRACE_RECORD_RE.search(code):
                 hit("trace-hook",
