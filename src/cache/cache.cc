@@ -1,5 +1,8 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
+#include <new>
+
 namespace emc
 {
 
@@ -12,7 +15,22 @@ Cache::Cache(std::size_t size_bytes, unsigned ways, const char *name)
                "cache size must be a multiple of ways * line size");
     sets_ = size_bytes / (static_cast<std::size_t>(ways) * kLineBytes);
     emc_assert(sets_ >= 1, "cache needs at least one set");
-    lines_.resize(sets_ * ways_);
+    lines_.reset(static_cast<Line *>(
+        std::malloc(sets_ * ways_ * sizeof(Line))));
+    if (!lines_)
+        throw std::bad_alloc();
+    set_live_.assign(sets_, 0);
+}
+
+Cache::Line *
+Cache::claimSet(std::size_t set)
+{
+    Line *ways = &lines_[set * ways_];
+    if (!set_live_[set]) {
+        std::fill_n(ways, ways_, Line{});
+        set_live_[set] = 1;
+    }
+    return ways;
 }
 
 CacheLineMeta *
@@ -20,8 +38,9 @@ Cache::access(Addr addr)
 {
     const std::size_t set = setIndex(addr);
     const Addr tag = tagOf(addr);
-    for (unsigned w = 0; w < ways_; ++w) {
-        Line &line = lines_[set * ways_ + w];
+    Line *ways = setLines(set);
+    for (unsigned w = 0; ways && w < ways_; ++w) {
+        Line &line = ways[w];
         if (line.valid && line.tag == tag) {
             line.lru = ++lru_tick_;
             ++stats_.hits;
@@ -37,8 +56,9 @@ Cache::peek(Addr addr)
 {
     const std::size_t set = setIndex(addr);
     const Addr tag = tagOf(addr);
-    for (unsigned w = 0; w < ways_; ++w) {
-        Line &line = lines_[set * ways_ + w];
+    Line *ways = setLines(set);
+    for (unsigned w = 0; ways && w < ways_; ++w) {
+        Line &line = ways[w];
         if (line.valid && line.tag == tag)
             return &line.meta;
     }
@@ -56,8 +76,9 @@ Cache::warmAccess(Addr addr)
 {
     const std::size_t set = setIndex(addr);
     const Addr tag = tagOf(addr);
-    for (unsigned w = 0; w < ways_; ++w) {
-        Line &line = lines_[set * ways_ + w];
+    Line *ways = setLines(set);
+    for (unsigned w = 0; ways && w < ways_; ++w) {
+        Line &line = ways[w];
         if (line.valid && line.tag == tag) {
             line.lru = ++lru_tick_;
             return &line.meta;
@@ -75,8 +96,9 @@ Cache::insert(Addr addr, const CacheLineMeta &meta)
 
     // Prefer an invalid way; otherwise evict true-LRU.
     Line *victim = nullptr;
+    Line *ways = claimSet(set);
     for (unsigned w = 0; w < ways_; ++w) {
-        Line &line = lines_[set * ways_ + w];
+        Line &line = ways[w];
         if (!line.valid) {
             victim = &line;
             break;
@@ -114,8 +136,9 @@ Cache::warmInsert(Addr addr, const CacheLineMeta &meta)
     const Addr tag = tagOf(addr);
 
     Line *victim = nullptr;
+    Line *ways = claimSet(set);
     for (unsigned w = 0; w < ways_; ++w) {
-        Line &line = lines_[set * ways_ + w];
+        Line &line = ways[w];
         if (!line.valid) {
             victim = &line;
             break;
@@ -144,8 +167,9 @@ Cache::invalidate(Addr addr)
     const std::size_t set = setIndex(addr);
     const Addr tag = tagOf(addr);
     Victim out;
-    for (unsigned w = 0; w < ways_; ++w) {
-        Line &line = lines_[set * ways_ + w];
+    Line *ways = setLines(set);
+    for (unsigned w = 0; ways && w < ways_; ++w) {
+        Line &line = ways[w];
         if (line.valid && line.tag == tag) {
             out.valid = true;
             out.addr = lineAlign(addr);
@@ -164,8 +188,9 @@ Cache::warmInvalidate(Addr addr)
     const std::size_t set = setIndex(addr);
     const Addr tag = tagOf(addr);
     Victim out;
-    for (unsigned w = 0; w < ways_; ++w) {
-        Line &line = lines_[set * ways_ + w];
+    Line *ways = setLines(set);
+    for (unsigned w = 0; ways && w < ways_; ++w) {
+        Line &line = ways[w];
         if (line.valid && line.tag == tag) {
             out.valid = true;
             out.addr = lineAlign(addr);
@@ -181,8 +206,11 @@ std::size_t
 Cache::validLines() const
 {
     std::size_t n = 0;
-    for (const auto &line : lines_)
-        n += line.valid ? 1 : 0;
+    for (std::size_t set = 0; set < sets_; ++set) {
+        const Line *ways = setLines(set);
+        for (unsigned w = 0; ways && w < ways_; ++w)
+            n += ways[w].valid ? 1 : 0;
+    }
     return n;
 }
 
@@ -191,8 +219,9 @@ Cache::forEachValidLine(
     const std::function<void(Addr, const CacheLineMeta &)> &fn) const
 {
     for (std::size_t set = 0; set < sets_; ++set) {
-        for (unsigned w = 0; w < ways_; ++w) {
-            const Line &line = lines_[set * ways_ + w];
+        const Line *ways = setLines(set);
+        for (unsigned w = 0; ways && w < ways_; ++w) {
+            const Line &line = ways[w];
             if (line.valid)
                 fn((line.tag * sets_ + set) << kLineShift, line.meta);
         }
@@ -204,12 +233,13 @@ Cache::checkConsistent(
     const std::function<void(const std::string &)> &fail) const
 {
     for (std::size_t set = 0; set < sets_; ++set) {
-        for (unsigned w = 0; w < ways_; ++w) {
-            const Line &a = lines_[set * ways_ + w];
+        const Line *ways = setLines(set);
+        for (unsigned w = 0; ways && w < ways_; ++w) {
+            const Line &a = ways[w];
             if (!a.valid)
                 continue;
             for (unsigned v = w + 1; v < ways_; ++v) {
-                const Line &b = lines_[set * ways_ + v];
+                const Line &b = ways[v];
                 if (b.valid && b.tag == a.tag) {
                     fail(std::string(name_) + ": set "
                          + std::to_string(set) + " holds tag "

@@ -12,7 +12,9 @@
 #define EMC_CACHE_CACHE_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -172,12 +174,23 @@ class Cache
         trace_clock_ = clock;
     }
 
-    /** Checkpoint tags, LRU state and stats (geometry is config). */
+    /**
+     * Checkpoint tags, LRU state and stats (geometry is config). Every
+     * way is written, a never-used set as blank lines, so the bytes
+     * are those of a length-prefixed vector of all lines.
+     */
     template <class A>
     void
     ser(A &ar)
     {
-        ar.io(lines_);
+        ar.length(sets_ * ways_);
+        for (std::size_t set = 0; set < sets_; ++set) {
+            Line *ways = ar.loading() ? claimSet(set) : setLines(set);
+            for (unsigned w = 0; w < ways_; ++w) {
+                Line blank;
+                ar.io(ways ? ways[w] : blank);
+            }
+        }
         ar.io(lru_tick_);
         ar.io(stats_);
     }
@@ -205,10 +218,35 @@ class Cache
     std::size_t setIndex(Addr addr) const { return lineNum(addr) % sets_; }
     Addr tagOf(Addr addr) const { return lineNum(addr) / sets_; }
 
+    /** The ways of @p set, or null while the set has never held a line. */
+    Line *
+    setLines(std::size_t set)
+    {
+        return set_live_[set] ? &lines_[set * ways_] : nullptr;
+    }
+    const Line *
+    setLines(std::size_t set) const
+    {
+        return set_live_[set] ? &lines_[set * ways_] : nullptr;
+    }
+
+    /** The ways of @p set, blanked first if it never held a line. */
+    Line *claimSet(std::size_t set);
+
+    struct FreeLines
+    {
+        void operator()(Line *p) const { std::free(p); }
+    };
+
     std::size_t sets_;  // ckpt-skip: (geometry is config)
     unsigned ways_;     // ckpt-skip: (geometry is config)
     const char *name_;
-    std::vector<Line> lines_;   ///< sets_ * ways_, row-major by set
+    /// sets_ * ways_, row-major by set. Allocated uninitialized: a set's
+    /// ways are blanked when it first takes a line, so constructing a
+    /// cache writes none of its tags (DESIGN.md §5c).
+    std::unique_ptr<Line[], FreeLines> lines_;  // ckpt-skip: (ser walks it by set)
+    /// Per set: its ways were blanked (claimSet) and are meaningful.
+    std::vector<std::uint8_t> set_live_;  // ckpt-skip: (ser writes every way)
     std::uint64_t lru_tick_ = 0;
     CacheStats stats_;
     obs::Tracer *tracer_ = nullptr;

@@ -168,6 +168,24 @@ class Ar
         }
     }
 
+    /**
+     * Write (save) or validate (load) the length prefix of a
+     * fixed-length container: the same bytes as a vector's prefix, but
+     * a different length on load is a corrupt stream and throws.
+     */
+    void
+    length(std::size_t n)
+    {
+        std::uint64_t got = n;
+        raw64(got);
+        if (loading() && got != n) {
+            throw Error("checkpoint length mismatch: expected "
+                        + std::to_string(n) + ", read "
+                        + std::to_string(got) + " at offset "
+                        + std::to_string(pos_ - 8));
+        }
+    }
+
     /** First 8 bytes of @p tag packed little-endian (zero padded). */
     static std::uint64_t
     packTag(const char *tag)

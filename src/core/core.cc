@@ -1,8 +1,9 @@
 #include "core/core.hh"
 
 #include <algorithm>
-#include <unordered_set>
 #include <cstdio>
+#include <unordered_set>
+#include <utility>
 
 #include "common/log.hh"
 
@@ -44,8 +45,8 @@ Core::Core(CoreId id, const CoreConfig &cfg, TraceSource *trace,
         free_list_.push_back(static_cast<std::uint16_t>(p - 1));
 }
 
-Core::RobEntry *
-Core::bySeq(std::uint64_t seq)
+const Core::RobEntry *
+Core::bySeq(std::uint64_t seq) const
 {
     if (rob_.empty())
         return nullptr;
@@ -55,9 +56,15 @@ Core::bySeq(std::uint64_t seq)
     const std::uint64_t idx = seq - head_seq;
     if (idx >= rob_.size())
         return nullptr;
-    RobEntry &e = rob_[idx];
+    const RobEntry &e = rob_[idx];
     emc_assert(e.seq == seq, "ROB seq indexing broken");
     return &e;
+}
+
+Core::RobEntry *
+Core::bySeq(std::uint64_t seq)
+{
+    return const_cast<RobEntry *>(std::as_const(*this).bySeq(seq));
 }
 
 void
@@ -359,34 +366,30 @@ Core::wakeup(std::uint16_t preg)
 void
 Core::issueStage()
 {
-    // Move this cycle's retries to the front of consideration.
-    if (!retry_q_.empty()) {
-        for (auto rit = retry_q_.rbegin(); rit != retry_q_.rend(); ++rit)
-            ready_q_.push_front(*rit);
-        retry_q_.clear();
-    }
-
     unsigned issued = 0;
-    std::size_t scanned = 0;
-    while (issued < cfg_.issue_width && scanned < ready_q_.size()) {
-        const std::uint64_t seq = ready_q_[scanned];
-        RobEntry *e = bySeq(seq);
-        if (!e || e->issued || e->completed) {
-            ready_q_.erase(ready_q_.begin() + scanned);
-            continue;
-        }
-        if (e->offloaded) {
-            // Offloaded uops execute at the EMC; drop them from the
-            // ready queue (chainResult re-queues them on cancel).
-            ready_q_.erase(ready_q_.begin() + scanned);
-            continue;
-        }
+    retryStage(issued);
 
-        bool ok = true;
+    // The ready queue is FIFO: every entry taken leaves it, whether it
+    // issues, is dropped or moves to the retry list.
+    while (issued < cfg_.issue_width && !ready_q_.empty()) {
+        const std::uint64_t seq = ready_q_.front();
+        ready_q_.pop_front();
+        RobEntry *e = bySeq(seq);
+        // Stale entries go; offloaded uops execute at the EMC
+        // (chainResult re-queues them on cancel).
+        if (!e || e->issued || e->completed || e->offloaded)
+            continue;
+
         switch (e->d.uop.op) {
-          case Opcode::kLoad:
-            ok = tryExecuteLoad(*e);
+          case Opcode::kLoad: {
+            std::uint64_t blocker = 0;
+            if (!tryExecuteLoad(*e, blocker)) {
+                retry_q_.push_back({seq, blocker, e->d.vaddr});
+                replay_armed_ = false;
+                continue;
+            }
             break;
+          }
           case Opcode::kStore:
             executeStore(*e);
             break;
@@ -394,21 +397,89 @@ Core::issueStage()
             executeAlu(*e);
             break;
         }
+        markIssued(*e);
+        ++issued;
+    }
+}
 
-        if (ok) {
-            e->issued = true;
-            if (e->in_rs) {
-                e->in_rs = false;
-                emc_assert(rs_occupancy_ > 0, "RS underflow");
-                --rs_occupancy_;
-            }
-            ++issued;
-            ready_q_.erase(ready_q_.begin() + scanned);
-        } else {
-            // Structural hazard (MSHR/ring backpressure): retry.
-            retry_q_.push_back(seq);
-            ready_q_.erase(ready_q_.begin() + scanned);
+void
+Core::retryStage(unsigned &issued)
+{
+    // Loads that failed earlier go first, in the order they failed.
+    // A parked load's full path would fail again at the SQ scan, so it
+    // only repeats the one side effect that path has before the scan:
+    // its TLB touch, at its own position among the other retries, so
+    // the LRU order (and hence later evictions and walk latencies)
+    // stays exactly that of re-running every load.
+    if (retry_q_.empty())
+        return;
+    if (replay_armed_ && tlb_.changes() == replay_mark_) {
+        // The same touches, in the same order, on a TLB that has not
+        // moved since they last ran (and all hit): only hits accrue.
+        tlb_.creditHits(retry_q_.size());
+        return;
+    }
+
+    const std::uint64_t misses = tlb_.misses();
+    const std::size_t n = retry_q_.size();
+    std::size_t kept = 0;
+    std::size_t i = 0;
+    bool all_parked = true;
+    for (; i < n && issued < cfg_.issue_width; ++i) {
+        RetryEntry r = retry_q_[i];
+        if (r.blocker != 0) {
+            tlb_.touch(r.vaddr);
+            retry_q_[kept++] = r;
+            continue;
         }
+        RobEntry *e = bySeq(r.seq);
+        if (!e || e->issued || e->completed || e->offloaded)
+            continue;
+        if (tryExecuteLoad(*e, r.blocker)) {
+            markIssued(*e);
+            ++issued;
+            continue;
+        }
+        // MSHR-full and port failures stay active; a store-blocked
+        // load parks on the store.
+        all_parked = all_parked && r.blocker != 0;
+        r.vaddr = e->d.vaddr;
+        retry_q_[kept++] = r;
+    }
+    // Issue width ran out: the unvisited rest keeps its order.
+    for (; i < n; ++i) {
+        all_parked = all_parked && retry_q_[i].blocker != 0;
+        retry_q_[kept++] = retry_q_[i];
+    }
+    retry_q_.resize(kept);
+
+    // Arm the O(1) replay only when the next stage would repeat exactly
+    // this stage's touches: nothing left the list (a load that issued
+    // touched the TLB but will not touch it again) and every touch hit.
+    replay_armed_ = all_parked && kept == n && tlb_.misses() == misses;
+    replay_mark_ = tlb_.changes();
+}
+
+template <class Pred>
+void
+Core::wakeRetries(Pred wake)
+{
+    for (RetryEntry &r : retry_q_) {
+        if (r.blocker != 0 && wake(r)) {
+            r.blocker = 0;
+            replay_armed_ = false;
+        }
+    }
+}
+
+void
+Core::markIssued(RobEntry &e)
+{
+    e.issued = true;
+    if (e.in_rs) {
+        e.in_rs = false;
+        emc_assert(rs_occupancy_ > 0, "RS underflow");
+        --rs_occupancy_;
     }
 }
 
@@ -433,7 +504,33 @@ Core::executeAlu(RobEntry &e)
 }
 
 bool
-Core::tryExecuteLoad(RobEntry &e)
+Core::scanOlderStores(const RobEntry &load, std::uint64_t &blocker) const
+{
+    // Conservative memory disambiguation: the core has no replay
+    // machinery, so a load waits until every older store has computed
+    // its address, then forwards on a match. Youngest first.
+    blocker = 0;
+    for (auto it = sq_.rbegin(); it != sq_.rend(); ++it) {
+        if (it->seq >= load.seq)
+            continue;
+        if (!it->addr_known) {
+            // Offloaded stores resolve at the EMC; younger loads may
+            // bypass them (the LSQ-populate conflict check cancels the
+            // chain on a real collision).
+            const RobEntry *st = bySeq(it->seq);
+            if (st && st->offloaded)
+                continue;
+            blocker = it->seq;
+            return false;
+        }
+        if (it->vaddr == load.d.vaddr)
+            return true;
+    }
+    return false;
+}
+
+bool
+Core::tryExecuteLoad(RobEntry &e, std::uint64_t &blocker)
 {
     const std::uint64_t base =
         e.src1_preg != kNoPreg ? prf_[e.src1_preg].value : 0;
@@ -452,27 +549,13 @@ Core::tryExecuteLoad(RobEntry &e)
         e.addr_taint_src = prf_[e.src1_preg].taint_src;
     }
 
-    // Conservative memory disambiguation: the core has no replay
-    // machinery, so a load waits until every older store has computed
-    // its address, then forwards on a match.
-    for (auto it = sq_.rbegin(); it != sq_.rend(); ++it) {
-        if (it->seq >= e.seq)
-            continue;
-        if (!it->addr_known) {
-            // Offloaded stores resolve at the EMC; younger loads may
-            // bypass them (the LSQ-populate conflict check cancels the
-            // chain on a real collision).
-            RobEntry *st = bySeq(it->seq);
-            if (st && st->offloaded)
-                continue;
-            return false;  // retry once the store resolves
-        }
-        if (it->vaddr == vaddr) {
-            scheduleComplete(e, now_ + 1 + walk, e.d.mem_value);
-            ++stats_.uops_executed;
-            return true;
-        }
+    if (scanOlderStores(e, blocker)) {
+        scheduleComplete(e, now_ + 1 + walk, e.d.mem_value);
+        ++stats_.uops_executed;
+        return true;
     }
+    if (blocker != 0)
+        return false;  // parks until the store's state changes
 
     const Addr line = lineAlign(paddr);
     if (l1d_.access(line) != nullptr) {
@@ -549,6 +632,7 @@ Core::executeStore(RobEntry &e)
             break;
         }
     }
+    wakeRetries([&](const RetryEntry &r) { return r.blocker == e.seq; });
     scheduleComplete(e, now_ + 1 + walk, data);
     ++stats_.uops_executed;
 }
@@ -1025,6 +1109,11 @@ Core::buildChain(RobEntry &source, ChainRequest &chain)
             emc_assert(rs_occupancy_ > 0, "RS underflow (chain)");
             --rs_occupancy_;
         }
+        // A load parked on an offloaded store may now bypass it; an
+        // offloaded load leaves the retry list untouched.
+        wakeRetries([&](const RetryEntry &r) {
+            return r.blocker == seq || r.seq == seq;
+        });
     }
     return true;
 }
@@ -1038,13 +1127,22 @@ Core::unOffloadChain(const ChainRequest &chain)
         RobEntry *e = bySeq(cu.rob_seq);
         if (!e || e->completed)
             continue;
-        e->offloaded = false;
-        e->in_rs = true;
-        ++rs_occupancy_;  // may transiently overshoot on cancel
-        auto pit = pending_srcs_.find(e->seq);
-        if (pit != pending_srcs_.end() && pit->second == 0)
-            ready_q_.push_back(e->seq);
+        unOffload(*e);
     }
+}
+
+void
+Core::unOffload(RobEntry &e)
+{
+    e.offloaded = false;
+    e.in_rs = true;
+    ++rs_occupancy_;  // may transiently overshoot on cancel
+    auto pit = pending_srcs_.find(e.seq);
+    if (pit != pending_srcs_.end() && pit->second == 0)
+        ready_q_.push_back(e.seq);
+    // A store the younger loads bypassed blocks them again.
+    if (isStore(e.d.uop.op))
+        wakeRetries([&](const RetryEntry &r) { return r.seq > e.seq; });
 }
 
 // --------------------------------------------------------------------
@@ -1166,12 +1264,7 @@ Core::chainResult(const ChainResult &result)
             RobEntry *e = bySeq(lo.rob_seq);
             if (!e || e->completed || !e->offloaded)
                 continue;
-            e->offloaded = false;
-            e->in_rs = true;
-            ++rs_occupancy_;
-            auto pit = pending_srcs_.find(e->seq);
-            if (pit != pending_srcs_.end() && pit->second == 0)
-                ready_q_.push_back(e->seq);
+            unOffload(*e);
         }
         return;
     }
@@ -1195,6 +1288,8 @@ Core::chainResult(const ChainResult &result)
                     break;
                 }
             }
+            // A younger load may now forward from it.
+            wakeRetries([&](const RetryEntry &r) { return r.seq > e->seq; });
             completeEntry(*e, lo.value, true);
         } else {
             completeEntry(*e, lo.value, true);
@@ -1419,6 +1514,31 @@ Core::selfCheck(check::CheckRegistry &reg) const
     }
     if (sq_.size() > cfg_.sq_size)
         bad("SQ occupancy exceeds capacity");
+
+    // Retry list: a parked load is still waiting in the window on the
+    // store a fresh SQ scan names, and while the O(1) replay credit is
+    // armed every parked page is resident (so the replay would hit).
+    const bool armed = replay_armed_ && tlb_.changes() == replay_mark_;
+    for (const RetryEntry &r : retry_q_) {
+        if (r.blocker == 0)
+            continue;
+        const std::string who = "parked load seq " + std::to_string(r.seq);
+        const RobEntry *e = bySeq(r.seq);
+        if (!e || !isLoad(e->d.uop.op) || e->issued || e->completed
+            || e->offloaded) {
+            bad(who + " is not a waiting load in the window");
+            continue;
+        }
+        std::uint64_t blocker = 0;
+        if (scanOlderStores(*e, blocker) || blocker != r.blocker) {
+            bad(who + " parked on store " + std::to_string(r.blocker)
+                + " but the SQ scan gives " + std::to_string(blocker));
+        }
+        if (r.vaddr != e->d.vaddr)
+            bad(who + " replays the wrong address");
+        if (armed && !tlb_.resident(r.vaddr))
+            bad(who + " replay armed but its page is not TLB-resident");
+    }
 
     auto struct_fail = [&](const std::string &msg) {
         reg.fail("cache_state", comp, 0, msg);

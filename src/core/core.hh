@@ -363,6 +363,8 @@ class Core
         ar.io(bp_);
         ar.io(ready_q_);
         ar.io(retry_q_);
+        if (ar.loading())
+            replay_armed_ = false;
         ar.io(preg_waiters_);
         ar.io(pending_srcs_);
         ar.io(complete_at_);
@@ -461,6 +463,8 @@ class Core
     }
 
   private:
+    friend struct CoreTestPeer;  // unit tests inspect the retry list
+
     // ---- dynamic uop state in the ROB ----
 
     /** One reorder-buffer entry (all per-uop dynamic state). */
@@ -556,6 +560,30 @@ class Core
         }
     };
 
+    /**
+     * A load waiting to re-execute (DESIGN.md §5c). A *parked* entry
+     * is blocked on the older store @c blocker, whose address is
+     * unknown; until that store's state changes it only replays its
+     * TLB touch at its list position. An *active* entry (blocker 0)
+     * re-runs the full load path.
+     */
+    struct RetryEntry
+    {
+        std::uint64_t seq = 0;
+        std::uint64_t blocker = 0;  // ckpt-skip: (restored entries start active)
+        Addr vaddr = kNoAddr;       // ckpt-skip: (set when parking)
+
+        /** Same bytes as a bare seq, so images keep kVersion 4. */
+        template <class A>
+        void
+        ser(A &ar)
+        {
+            ar.io(seq);
+            if (ar.loading())
+                blocker = 0;
+        }
+    };
+
     // ---- pipeline stages (called in reverse order from tick) ----
     void retireStage();
     void completeStage();
@@ -565,11 +593,23 @@ class Core
 
     // ---- helpers ----
     RobEntry *bySeq(std::uint64_t seq);
+    const RobEntry *bySeq(std::uint64_t seq) const;
     bool robFull() const { return rob_.size() >= cfg_.rob_size; }
     bool stalledOnMissHead() const;
     void wakeup(std::uint16_t preg);
     void executeAlu(RobEntry &e);
-    bool tryExecuteLoad(RobEntry &e);
+    void markIssued(RobEntry &e);
+    void retryStage(unsigned &issued);
+    bool tryExecuteLoad(RobEntry &e, std::uint64_t &blocker);
+    /**
+     * The load's SQ check against older stores.
+     * @param blocker out: the unresolved older store it must wait
+     *        for, or 0
+     * @retval true a same-address older store forwards its data
+     */
+    bool scanOlderStores(const RobEntry &load,
+                         std::uint64_t &blocker) const;
+    template <class Pred> void wakeRetries(Pred wake);
     void executeStore(RobEntry &e);
     void scheduleComplete(RobEntry &e, Cycle when, std::uint64_t value);
     void completeEntry(RobEntry &e, std::uint64_t value, bool from_emc);
@@ -585,6 +625,7 @@ class Core
     void maybeGenerateChain();
     bool buildChain(RobEntry &source, ChainRequest &chain);
     void unOffloadChain(const ChainRequest &chain);
+    void unOffload(RobEntry &e);
 
     // ---- Hermes off-chip prediction (DESIGN.md §13) ----
 
@@ -637,8 +678,14 @@ class Core
     HybridBranchPredictor bp_;
 
     // Scheduling machinery (kept O(1)-amortized per cycle).
-    std::deque<std::uint64_t> ready_q_;    ///< seqs ready to issue
-    std::vector<std::uint64_t> retry_q_;   ///< structural-hazard retries
+    std::deque<std::uint64_t> ready_q_;    ///< seqs ready to issue, FIFO
+    /// Loads that failed to execute, in retry order (ahead of ready_q_).
+    std::vector<RetryEntry> retry_q_;
+    /// The last retry stage left only parked entries and its TLB
+    /// touches all hit; replaying them is a pure hit credit while
+    /// tlb_.changes() still equals replay_mark_ (DESIGN.md §5c).
+    bool replay_armed_ = false;      // ckpt-skip: (host-only; restore disarms)
+    std::uint64_t replay_mark_ = 0;  // ckpt-skip: (host-only replay guard)
     std::unordered_map<std::uint16_t,
                        std::vector<std::uint64_t>> preg_waiters_;
     std::unordered_map<std::uint64_t, unsigned> pending_srcs_;

@@ -55,10 +55,30 @@ DramChannel::bank(unsigned rank, unsigned b) const
     return banks_.at(rank * geo_.banks_per_rank + b);
 }
 
-Bank &
-DramChannel::bankFor(const DramCoord &c)
+void
+DramChannel::decode(Queued &qe) const
 {
-    return banks_.at(c.rank * geo_.banks_per_rank + c.bank);
+    const DramCoord c = mapAddress(qe.req.paddr, geo_);
+    qe.bank = c.rank * geo_.banks_per_rank + c.bank;
+    qe.row = c.row;
+}
+
+void
+DramChannel::checkConsistent(
+    const std::function<void(const std::string &)> &fail) const
+{
+    for (const auto *q : {&read_q_, &write_q_}) {
+        for (const Queued &qe : *q) {
+            Queued fresh = qe;
+            decode(fresh);
+            if (qe.bank != fresh.bank || qe.row != fresh.row) {
+                fail("queued request " + std::to_string(qe.req.id)
+                     + " caches bank " + std::to_string(qe.bank)
+                     + " row " + std::to_string(qe.row)
+                     + " but its address maps elsewhere");
+            }
+        }
+    }
 }
 
 bool
@@ -67,6 +87,7 @@ DramChannel::enqueue(const MemRequest &req, Cycle now)
     Queued qe;
     qe.req = req;
     qe.req.cycle_mc_enqueue = now;
+    decode(qe);
     if (req.is_write) {
         // Writes are buffered and drained lazily; the write queue is
         // effectively unbounded relative to the workload's needs but a
@@ -106,12 +127,10 @@ DramChannel::formBatch()
     std::vector<std::vector<unsigned>> counts(
         num_cores_, std::vector<unsigned>(banks_.size(), 0));
     for (auto &qe : read_q_) {
-        const DramCoord c = mapAddress(qe.req.paddr, geo_);
-        const unsigned bank_idx = c.rank * geo_.banks_per_rank + c.bank;
         const CoreId core = qe.req.core % num_cores_;
-        if (counts[core][bank_idx] < kMarkingCap) {
+        if (counts[core][qe.bank] < kMarkingCap) {
             qe.marked = true;
-            ++counts[core][bank_idx];
+            ++counts[core][qe.bank];
             ++marked_remaining_;
         } else {
             qe.marked = false;
@@ -145,11 +164,10 @@ DramChannel::pickFrFcfs(const std::deque<Queued> &q, Cycle now) const
     int best = -1;
     bool best_hit = false;
     for (std::size_t i = 0; i < q.size(); ++i) {
-        const DramCoord c = mapAddress(q[i].req.paddr, geo_);
-        const Bank &b = banks_[c.rank * geo_.banks_per_rank + c.bank];
+        const Bank &b = banks_[q[i].bank];
         if (b.readyCycle() > now)
             continue;
-        const bool hit = b.classify(c.row) == RowOutcome::kHit;
+        const bool hit = b.classify(q[i].row) == RowOutcome::kHit;
         if (best < 0 || (hit && !best_hit)) {
             best = static_cast<int>(i);
             best_hit = hit;
@@ -166,42 +184,50 @@ DramChannel::pickBatch(Cycle now)
     if (marked_remaining_ == 0 && !read_q_.empty())
         formBatch();
 
-    // Priority: marked > row-hit > thread rank > age.
+    // Priority: marked > row-hit > thread rank > age; the first of
+    // equals (lowest index) wins. Each candidate is classified once
+    // and compared against the cached key of the best so far.
     int best = -1;
-    auto better = [&](const Queued &a, const Queued &b) {
-        if (a.marked != b.marked)
-            return a.marked;
-        const DramCoord ca = mapAddress(a.req.paddr, geo_);
-        const DramCoord cb = mapAddress(b.req.paddr, geo_);
-        const bool ha = banks_[ca.rank * geo_.banks_per_rank + ca.bank]
-                            .classify(ca.row) == RowOutcome::kHit;
-        const bool hb = banks_[cb.rank * geo_.banks_per_rank + cb.bank]
-                            .classify(cb.row) == RowOutcome::kHit;
-        if (ha != hb)
-            return ha;
-        const auto ra = thread_rank_[a.req.core % num_cores_];
-        const auto rb = thread_rank_[b.req.core % num_cores_];
-        if (ra != rb)
-            return ra < rb;
-        return a.req.cycle_mc_enqueue < b.req.cycle_mc_enqueue;
-    };
+    bool best_marked = false;
+    bool best_hit = false;
+    std::uint64_t best_rank = 0;
+    Cycle best_age = 0;
     for (std::size_t i = 0; i < read_q_.size(); ++i) {
-        const DramCoord c = mapAddress(read_q_[i].req.paddr, geo_);
-        const Bank &b = banks_[c.rank * geo_.banks_per_rank + c.bank];
+        const Queued &qe = read_q_[i];
+        const Bank &b = banks_[qe.bank];
         if (b.readyCycle() > now)
             continue;
-        if (best < 0 || better(read_q_[i], read_q_[best]))
+        const bool hit = b.classify(qe.row) == RowOutcome::kHit;
+        const std::uint64_t rank = thread_rank_[qe.req.core % num_cores_];
+        const Cycle age = qe.req.cycle_mc_enqueue;
+        bool better;
+        if (best < 0)
+            better = true;
+        else if (qe.marked != best_marked)
+            better = qe.marked;
+        else if (hit != best_hit)
+            better = hit;
+        else if (rank != best_rank)
+            better = rank < best_rank;
+        else
+            better = age < best_age;
+        if (better) {
             best = static_cast<int>(i);
+            best_marked = qe.marked;
+            best_hit = hit;
+            best_rank = rank;
+            best_age = age;
+        }
     }
     return best;
 }
 
 void
-DramChannel::applyActConstraints(const DramCoord &c, Cycle act_cycle)
+DramChannel::applyActConstraints(unsigned rank, Cycle act_cycle)
 {
     // tRRD between activates in the same rank; tFAW over four.
     for (unsigned b = 0; b < geo_.banks_per_rank; ++b) {
-        auto &bank = banks_[c.rank * geo_.banks_per_rank + b];
+        auto &bank = banks_[rank * geo_.banks_per_rank + b];
         bank.blockActivateUntil(act_cycle + t_.tRRD);
     }
 }
@@ -210,23 +236,21 @@ void
 DramChannel::issue(Queued &qe, Cycle now, bool is_write)
 {
     MemRequest &req = qe.req;
-    const DramCoord c = mapAddress(req.paddr, geo_);
-    Bank &bank = bankFor(c);
+    Bank &bank = banks_[qe.bank];
 
     RowOutcome outcome;
-    Cycle data_start = bank.access(c.row, now, t_, is_write, outcome);
+    Cycle data_start = bank.access(qe.row, now, t_, is_write, outcome);
     data_start = std::max(data_start, bus_free_);
     const Cycle data_done = data_start + t_.tBurst;
     bus_free_ = data_done;
     stats_.busy_bus_cycles += t_.tBurst;
 
     if (outcome != RowOutcome::kHit) {
-        applyActConstraints(c, bank.lastActivate());
+        applyActConstraints(qe.bank / geo_.banks_per_rank,
+                            bank.lastActivate());
         EMC_OBS_POINT(tracer_, obs::TracePoint::kRowAct, now, req.id,
-                      obs::Track::bank(trace_bank_base_
-                                       + c.rank * geo_.banks_per_rank
-                                       + c.bank),
-                      c.row);
+                      obs::Track::bank(trace_bank_base_ + qe.bank),
+                      qe.row);
     }
 
     req.cycle_dram_issue = now;

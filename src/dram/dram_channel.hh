@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -128,6 +129,13 @@ class DramChannel
     const Bank &bank(unsigned rank, unsigned b) const;
 
     /**
+     * Deep self-check (periodic in checked runs): every queued
+     * request's cached bank and row equal mapAddress() of its address.
+     */
+    void checkConsistent(
+        const std::function<void(const std::string &)> &fail) const;
+
+    /**
      * Lifetime accept/complete counters for conservation checks.
      * Unlike stats(), these survive resetStats():
      *   acceptedReads − completedReads == readQueueDepth + inFlight
@@ -161,6 +169,12 @@ class DramChannel
         ar.io(banks_);
         ar.io(read_q_);
         ar.io(write_q_);
+        if (ar.loading()) {
+            for (Queued &qe : read_q_)
+                decode(qe);
+            for (Queued &qe : write_q_)
+                decode(qe);
+        }
         ar.io(in_flight_);
         ar.io(bus_free_);
         ar.io(next_refresh_);
@@ -175,11 +189,19 @@ class DramChannel
     }
 
   private:
-    /** A queued request plus its PAR-BS batch mark. */
+    friend struct DramChannelTestPeer;  // scheduler cross-check tests
+
+    /**
+     * A queued request plus its PAR-BS batch mark and its DRAM
+     * coordinates, decoded once at enqueue so the scheduler's per-tick
+     * scans never re-run mapAddress.
+     */
     struct Queued
     {
         MemRequest req;
         bool marked = false;   ///< in the current PAR-BS batch
+        unsigned bank = 0;     // ckpt-skip: (decoded from req.paddr on load)
+        std::uint64_t row = 0; // ckpt-skip: (decoded from req.paddr on load)
 
         template <class A>
         void
@@ -190,13 +212,13 @@ class DramChannel
         }
     };
 
+    void decode(Queued &qe) const;
     void maybeRefresh(Cycle now);
     void formBatch();
     int pickFrFcfs(const std::deque<Queued> &q, Cycle now) const;
     int pickBatch(Cycle now);
     void issue(Queued &qe, Cycle now, bool is_write);
-    Bank &bankFor(const DramCoord &c);
-    void applyActConstraints(const DramCoord &c, Cycle act_cycle);
+    void applyActConstraints(unsigned rank, Cycle act_cycle);
 
     DramGeometry geo_;    // ckpt-skip: (config, not state)
     DramTiming t_;        // ckpt-skip: (config, not state)

@@ -361,6 +361,16 @@ System::runDeepChecks()
                          "slice" + std::to_string(i), 0, msg);
         });
     }
+    for (std::size_t m = 0; m < channels_.size(); ++m) {
+        for (std::size_t c = 0; c < channels_[m].size(); ++c) {
+            channels_[m][c]->checkConsistent([&](const std::string &msg) {
+                check_->fail("dram_state",
+                             "mc" + std::to_string(m) + ".ch"
+                                 + std::to_string(c),
+                             0, msg);
+            });
+        }
+    }
     // Every transaction merged onto an in-flight fill must still be
     // live in the pool, or its wakeup would be lost.
     // lint-ok: unordered-iter (order-insensitive invariant scan)

@@ -163,6 +163,11 @@ class System : public CorePort
     bool finished() const;
     Cycle coreFinishCycle(unsigned i) const { return finish_cycle_[i]; }
     const Cache &llcSlice(unsigned i) const { return *slices_[i]; }
+    /** Channel @p c of memory controller @p mc. */
+    const DramChannel &channel(unsigned mc, unsigned c) const
+    {
+        return *channels_[mc][c];
+    }
     const PageTable &pageTable(unsigned i) const
     {
         return *page_tables_[i];

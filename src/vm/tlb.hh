@@ -40,19 +40,38 @@ class Tlb
     Addr
     translate(PageTable &pt, Addr vaddr, Cycle &extra_latency)
     {
+        extra_latency = touch(vaddr) ? 0 : walk_latency_;
+        return pt.translate(vaddr);
+    }
+
+    /**
+     * The TLB side of translate() alone: LRU update and hit/miss
+     * counters, no page-table lookup. A load that re-executes replays
+     * its translation through this once the page is mapped.
+     * @retval true on a hit
+     */
+    bool
+    touch(Addr vaddr)
+    {
+        ++changes_;
         const Addr vp = pageNum(vaddr);
         auto it = map_.find(vp);
         if (it != map_.end()) {
             ++hits_;
             lru_.splice(lru_.begin(), lru_, it->second);
-            extra_latency = 0;
-        } else {
-            ++misses_;
-            extra_latency = walk_latency_;
-            insert(vp);
+            return true;
         }
-        return pt.translate(vaddr);
+        ++misses_;
+        insert(vp);
+        return false;
     }
+
+    /**
+     * Count @p n hits without touching the LRU stack: what replaying a
+     * sequence of touches that all hit, with nothing in between since
+     * the same sequence last ran, would do (DESIGN.md §5c).
+     */
+    void creditHits(std::uint64_t n) { hits_ += n; }
 
     /**
      * Functional-warming translate (DESIGN.md §8): identical LRU and
@@ -62,6 +81,7 @@ class Tlb
     Addr
     warmTranslate(PageTable &pt, Addr vaddr)
     {
+        ++changes_;
         const Addr vp = pageNum(vaddr);
         auto it = map_.find(vp);
         if (it != map_.end())
@@ -73,6 +93,15 @@ class Tlb
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
+
+    /**
+     * Advances on every lookup and on restore, never otherwise: equal
+     * values bracket a stretch in which the LRU stack did not move.
+     */
+    std::uint64_t changes() const { return changes_; }
+
+    /** True if @p vaddr's page is resident (no LRU or counter effect). */
+    bool resident(Addr vaddr) const { return map_.count(pageNum(vaddr)); }
 
     /**
      * The resident virtual pages, MRU first (fastwarm validation
@@ -93,6 +122,7 @@ class Tlb
         ar.io(hits_);
         ar.io(misses_);
         if (ar.loading()) {
+            ++changes_;
             map_.clear();
             for (auto it = lru_.begin(); it != lru_.end(); ++it)
                 map_[*it] = it;
@@ -117,6 +147,7 @@ class Tlb
     std::unordered_map<Addr, std::list<Addr>::iterator> map_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
+    std::uint64_t changes_ = 0;  // ckpt-skip: (host-only replay guard)
 };
 
 /**

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "cache/cache.hh"
+#include "ckpt/serial.hh"
 #include "common/rng.hh"
 
 namespace emc
@@ -162,6 +164,55 @@ TEST(CacheProperty, LruRespectsRecency)
     Cache::Victim v = c.insert(8 * stride);
     ASSERT_TRUE(v.valid);
     EXPECT_EQ(v.addr, 3 * stride);
+}
+
+TEST(CacheTest, CheckpointRestoresTagsAndRejectsOtherGeometry)
+{
+    // The tag store starts unwritten (each set is blanked on first
+    // use): a fresh cache is empty, and an image round-trips every
+    // way. An image of another geometry is a corrupt stream, not a
+    // resize.
+    Cache src(64 * 1024, 8, "t");
+    EXPECT_EQ(src.validLines(), 0u);
+    {
+        // A never-used set is written as blank lines: after the
+        // length word, a fresh cache's image is all zeros.
+        ckpt::Ar fresh = ckpt::Ar::saver();
+        src.ser(fresh);
+        const std::vector<std::uint8_t> &b = fresh.bytes();
+        ASSERT_GT(b.size(), 8u);
+        EXPECT_EQ(b[0], 0u);  // 1024 lines: low byte of the length
+        EXPECT_EQ(b[1], 4u);
+        EXPECT_TRUE(std::all_of(b.begin() + 8, b.end(),
+                                [](std::uint8_t x) { return x == 0; }));
+    }
+    Rng rng(5);
+    for (int i = 0; i < 3000; ++i) {
+        const Addr a = rng.below(1 << 14) << kLineShift;
+        if (!src.access(a))
+            src.insert(a, CacheLineMeta{i % 3 == 0, 1u << (i % 4), false});
+    }
+    ckpt::Ar save = ckpt::Ar::saver();
+    src.ser(save);
+    const std::vector<std::uint8_t> image = save.takeBytes();
+
+    Cache dst(64 * 1024, 8, "t");
+    ckpt::Ar load = ckpt::Ar::loader(image);
+    dst.ser(load);
+    EXPECT_TRUE(load.exhausted());
+    EXPECT_EQ(dst.validLines(), src.validLines());
+    std::vector<std::pair<Addr, bool>> a, b;
+    src.forEachValidLine([&](Addr l, const CacheLineMeta &m) {
+        a.emplace_back(l, m.dirty);
+    });
+    dst.forEachValidLine([&](Addr l, const CacheLineMeta &m) {
+        b.emplace_back(l, m.dirty);
+    });
+    EXPECT_EQ(a, b);
+
+    Cache other(32 * 1024, 8, "t");
+    ckpt::Ar bad = ckpt::Ar::loader(image);
+    EXPECT_THROW(other.ser(bad), ckpt::Error);
 }
 
 TEST(MshrTest, AllocateAndComplete)

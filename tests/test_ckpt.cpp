@@ -5,7 +5,8 @@
  *  - full-level roundtrip exactness on a fig13-class config: save at
  *    cycle C (measured phase or mid-warmup), restore, run to the end
  *    — every stat bit-identical to an uninterrupted run, and the
- *    saving run itself unperturbed
+ *    saving run itself unperturbed; also saved while loads are parked
+ *    on stores and both DRAM queues hold requests (host-only state)
  *  - restored state passes the src/check invariant suite with zero
  *    violations
  *  - warmup-level images fork into differing EMC/prefetcher configs,
@@ -33,6 +34,24 @@
 #include "bench/bench_util.hh"
 #include "ckpt/ckpt.hh"
 #include "sim/system.hh"
+
+namespace emc
+{
+
+/** Test access to the core's retry list. */
+struct CoreTestPeer
+{
+    static unsigned
+    parkedLoads(const Core &c)
+    {
+        unsigned n = 0;
+        for (const Core::RetryEntry &r : c.retry_q_)
+            n += r.blocker != 0 ? 1 : 0;
+        return n;
+    }
+};
+
+} // namespace emc
 
 using emc::Cycle;
 using emc::StatDump;
@@ -134,6 +153,51 @@ TEST(CkptFull, RoundtripIsExact)
     restored.run();
     expectIdentical(d_straight, restored.dump(), "restored run");
     std::remove(path.c_str());
+}
+
+TEST(CkptFull, RoundtripWithParkedLoadsAndQueuedDram)
+{
+    // Host-only scheduling state is not in the image: parked loads
+    // restore as active retries and the DRAM queues re-decode their
+    // coordinates. Save where both are live and resume exactly.
+    SystemConfig cfg;
+    cfg.prefetch = emc::PrefetchConfig::kStream;
+    cfg.emc_enabled = true;
+    cfg.target_uops = 3000;
+    cfg.warmup_uops = 0;
+    cfg.llc_slice_bytes = 64 * 1024;  // dirty evictions start early
+    const std::vector<std::string> mix = emc::bench::homo("lbm");
+    System straight(cfg, mix);
+    straight.run();
+
+    System probe(cfg, mix);
+    auto live = [&] {
+        unsigned parked = 0;
+        for (unsigned i = 0; i < cfg.num_cores; ++i)
+            parked += emc::CoreTestPeer::parkedLoads(probe.core(i));
+        bool both_queues = false;
+        for (unsigned c = 0; c < cfg.dram.channels; ++c) {  // one MC
+            const emc::DramChannel &ch = probe.channel(0, c);
+            both_queues = both_queues
+                          || (ch.readQueueDepth() > 0
+                              && ch.writeQueueDepth() > 0);
+        }
+        return parked > 0 && both_queues;
+    };
+    while (!probe.finished() && !live())
+        probe.tickOnce();
+    ASSERT_FALSE(probe.finished()) << "no cycle with parked loads and "
+                                      "non-empty DRAM read+write queues";
+    const std::vector<std::uint8_t> image =
+        probe.saveCheckpointBytes(emc::ckpt::Level::kFull);
+
+    System restored(cfg, mix);
+    restored.restoreCheckpointBytes(image);
+    for (unsigned i = 0; i < cfg.num_cores; ++i)
+        EXPECT_EQ(emc::CoreTestPeer::parkedLoads(restored.core(i)), 0u);
+    restored.run();
+    expectIdentical(straight.dump(), restored.dump(),
+                    "restored with parked loads");
 }
 
 TEST(CkptFull, MidWarmupSaveRoundtrips)

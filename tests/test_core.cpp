@@ -2,15 +2,19 @@
  * @file
  * Unit tests for the out-of-order core: renaming/dataflow correctness,
  * memory path, store forwarding, mispredict handling, full-window
- * stall detection, taint-based dependent-miss identification and the
- * chain-generation unit (Section 4.2).
+ * stall detection, taint-based dependent-miss identification, the
+ * chain-generation unit (Section 4.2) and the parked-retry timing and
+ * TLB accounting of store-blocked loads (DESIGN.md §5c).
  */
 
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "check/check.hh"
 #include "core/core.hh"
 #include "mem/functional_memory.hh"
 #include "vm/page_table.hh"
@@ -18,6 +22,38 @@
 
 namespace emc
 {
+
+/** Test access to the core's retry list and SQ. */
+struct CoreTestPeer
+{
+    /** (load seq, blocking store seq or 0 when active), retry order. */
+    static std::vector<std::pair<std::uint64_t, std::uint64_t>>
+    retries(const Core &c)
+    {
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+        for (const Core::RetryEntry &r : c.retry_q_)
+            out.emplace_back(r.seq, r.blocker);
+        return out;
+    }
+
+    static bool
+    storeAddrKnown(const Core &c, std::uint64_t seq)
+    {
+        for (const auto &sqe : c.sq_) {
+            if (sqe.seq == seq)
+                return sqe.addr_known;
+        }
+        return true;  // retired
+    }
+
+    static void
+    saturateDepCounter(Core &c)
+    {
+        for (unsigned i = 0; i < c.dep_counter_.max(); ++i)
+            c.dep_counter_.increment();
+    }
+};
+
 namespace
 {
 
@@ -42,6 +78,7 @@ class FakeChip : public CorePort
         if (reject_requests)
             return false;
         requests.push_back(paddr_line);
+        request_cycles.push_back(now_);
         tainted_flags.push_back(addr_tainted);
         pending.push_back({paddr_line, now_ + fill_latency, miss_mode});
         return true;
@@ -100,6 +137,7 @@ class FakeChip : public CorePort
     bool accept_chains = true;
     bool tlb_resident = false;
     std::vector<Addr> requests;
+    std::vector<Cycle> request_cycles;
     std::vector<bool> tainted_flags;
     std::vector<Addr> stores;
     std::vector<ChainRequest> chains;
@@ -629,6 +667,151 @@ TEST(CoreTest, SurvivesChipBackpressure)
     h.chip.reject_requests = false;
     h.chip.run(h.core, 400);
     EXPECT_EQ(h.core.retired(), 2u);
+}
+
+/** A load with no source register: ready as soon as it dispatches. */
+DynUop
+loadAbs(std::uint8_t dst, Addr vaddr, std::uint64_t value,
+        std::uint64_t pc = 0x300)
+{
+    return load(dst, kNoReg, static_cast<std::int64_t>(vaddr), vaddr, value,
+                pc);
+}
+
+TEST(CoreTest, StoreBlockedLoadsIssueTheCycleAfterTheStore)
+{
+    // The store's address comes from a load that misses to memory, so
+    // three younger loads (distinct pages, no sources) wait on it; the
+    // loads are ready at dispatch and miss the TLB on their first try.
+    std::vector<DynUop> prog;
+    prog.push_back(movImm(1, 0x100000));                      // seq 1
+    prog.push_back(load(2, 1, 0, 0x100000, 0x300000));        // seq 2
+    prog.push_back(store(2, 1, 0, 0x300000, 0x100000));       // seq 3
+    prog.push_back(loadAbs(5, 0x400000, 1));                  // seq 4
+    prog.push_back(loadAbs(6, 0x500000, 2));                  // seq 5
+    prog.push_back(loadAbs(7, 0x600000, 3));                  // seq 6
+    CoreHarness h(prog);
+    h.chip.run(h.core, 1000);
+    ASSERT_EQ(h.core.retired(), 6u);
+
+    // Hand timeline (FakeChip ticks the core at now = 1, 2, ...):
+    //   1    fetch seqs 1-4 (mov and seq 4 ready at dispatch)
+    //   2    mov issues; seq 4 translates (miss), blocked on the store;
+    //        fetch seqs 5-6
+    //   3    mov completes, seq 2 ready; retry seq 4 (hit); seqs 5, 6
+    //        translate (miss) and block; seq 2 misses L1 -> request
+    //   3+L  the fill (L = fill latency) lands before this tick, while
+    //        the core's clock still reads 2+L, so seq 2 completes in
+    //        this tick and the store, now ready, executes; every cycle
+    //        up to here each blocked load retried once (one TLB hit)
+    //   4+L  the three loads issue: hit, L1 miss, request
+    const Cycle L = h.chip.fill_latency;
+    ASSERT_EQ(h.chip.request_cycles.size(), 4u);
+    EXPECT_EQ(h.chip.request_cycles[0], 3u);
+    const Cycle store_exec = h.chip.request_cycles[0] + L;
+    for (std::size_t i = 1; i < 4; ++i)
+        EXPECT_EQ(h.chip.request_cycles[i], store_exec + 1) << i;
+
+    // One hit per load per retry cycle plus the issuing translate:
+    // seq 4 first tried at 2, seqs 5 and 6 at 3; all issue at 4+L.
+    const Cycle issue = store_exec + 1;
+    EXPECT_EQ(h.core.tlb().hits(), (issue - 2) + 2 * (issue - 3));
+    // Cold misses: seq 2, the store, and the three loads.
+    EXPECT_EQ(h.core.tlb().misses(), 5u);
+}
+
+TEST(CoreTest, LoadsReparkWhenAnOffloadedStoreIsCanceled)
+{
+    // H misses; store B's address is H's value, and load S reads it
+    // back, so B joins H's chain as a spill store. Store A, older than
+    // B, waits on another miss M. Loads X1-X3 behind B first park on
+    // B, move to A once B is offloaded, and return to B when the chain
+    // is canceled; they issue the cycle after the last store resolves.
+    const Addr p = 0x300000, q = 0x340000;
+    std::vector<DynUop> prog;
+    prog.push_back(movImm(10, 0x8000));                   // seq 1
+    prog.push_back(loadAbs(1, 0x100000, p));              // seq 2  H
+    prog.push_back(loadAbs(2, 0x200000, q));              // seq 3  M
+    prog.push_back(store(2, 10, 0, q, 0x8000));           // seq 4  A
+    prog.push_back(store(1, 10, 0, p, 0x8000));           // seq 5  B
+    prog.push_back(load(3, 1, 0, p, 0x8000));             // seq 6  S
+    prog.push_back(loadAbs(4, 0x400000, 1));              // seq 7  X1
+    prog.push_back(loadAbs(5, 0x500000, 2));              // seq 8  X2
+    prog.push_back(loadAbs(6, 0x600000, 3));              // seq 9  X3
+    DynUop nop;  // no destination: fills the ROB, not the free list
+    nop.uop.op = Opcode::kNop;
+    nop.uop.pc = 0x400;
+    for (int i = 0; i < 300; ++i)  // fill the window behind H
+        prog.push_back(nop);
+    const std::uint64_t kA = 4, kB = 5;
+
+    CoreConfig cfg;
+    cfg.emc_enabled = true;
+    CoreHarness h(prog, cfg);
+    h.chip.fill_latency = 600;
+    CoreTestPeer::saturateDepCounter(h.core);
+
+    check::CheckRegistry reg;
+    std::vector<std::string> violations;
+    reg.setHandler([&](const check::Violation &v) {
+        violations.push_back(v.format());
+    });
+    auto xBlockers = [&] {
+        std::vector<std::uint64_t> out;
+        for (const auto &[seq, blocker] : CoreTestPeer::retries(h.core)) {
+            if (seq >= 7 && seq <= 9)
+                out.push_back(blocker);
+        }
+        return out;
+    };
+    const std::vector<std::uint64_t> onA(3, kA), onB(3, kB);
+
+    // Before the chain: parked on B, the youngest unresolved store.
+    h.chip.run(h.core, 10);
+    EXPECT_EQ(xBlockers(), onB);
+
+    // The full-window stall offloads B: the loads bypass it to A.
+    while (h.chip.chains.empty() && h.chip.now_ < 590) {
+        h.chip.step(h.core);
+        h.core.selfCheck(reg);
+    }
+    ASSERT_EQ(h.chip.chains.size(), 1u);
+    EXPECT_EQ(xBlockers(), onA);
+
+    // Cancel: B is un-offloaded and blocks the loads again.
+    ChainResult res;
+    res.chain_id = h.chip.chains[0].id;
+    res.outcome = ChainOutcome::kTlbMiss;
+    for (const ChainUop &u : h.chip.chains[0].uops) {
+        if (!u.is_source) {
+            LiveOut lo;
+            lo.rob_seq = u.rob_seq;
+            res.live_outs.push_back(lo);
+        }
+    }
+    h.core.chainResult(res);
+    h.chip.step(h.core);
+    h.core.selfCheck(reg);
+    EXPECT_EQ(xBlockers(), onB);
+
+    // Both stores resolve once the fills land; each X load issues the
+    // cycle after the later of the two executes.
+    Cycle resolved = 0;
+    while (h.core.retired() < h.trace.produced() && h.chip.now_ < 5000) {
+        h.chip.step(h.core);
+        h.core.selfCheck(reg);
+        if (!resolved && CoreTestPeer::storeAddrKnown(h.core, kA)
+            && CoreTestPeer::storeAddrKnown(h.core, kB)) {
+            resolved = h.chip.now_;
+        }
+    }
+    EXPECT_EQ(h.core.retired(), h.trace.produced());
+    EXPECT_TRUE(violations.empty()) << violations.front();
+    ASSERT_NE(resolved, 0u);
+    // Requests: H, M, then X1-X3 (S forwards from B).
+    ASSERT_EQ(h.chip.request_cycles.size(), 5u);
+    for (std::size_t i = 2; i < 5; ++i)
+        EXPECT_EQ(h.chip.request_cycles[i], resolved + 1) << i;
 }
 
 TEST(CoreTest, TinyFreeListStillRetires)

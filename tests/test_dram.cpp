@@ -7,13 +7,47 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <vector>
 
+#include "ckpt/serial.hh"
 #include "common/rng.hh"
 #include "dram/dram_channel.hh"
 
 namespace emc
 {
+
+/** Test access to the channel's scheduler state. */
+struct DramChannelTestPeer
+{
+    using Queued = DramChannel::Queued;
+
+    static std::deque<Queued> &readQ(DramChannel &c) { return c.read_q_; }
+    static std::deque<Queued> &writeQ(DramChannel &c) { return c.write_q_; }
+    static std::vector<Bank> &banks(DramChannel &c) { return c.banks_; }
+
+    static std::vector<std::uint64_t> &
+    threadRank(DramChannel &c)
+    {
+        return c.thread_rank_;
+    }
+
+    static std::uint64_t &
+    markedRemaining(DramChannel &c)
+    {
+        return c.marked_remaining_;
+    }
+
+    static int
+    pickFrFcfs(const DramChannel &c, bool writes, Cycle now)
+    {
+        return c.pickFrFcfs(writes ? c.write_q_ : c.read_q_, now);
+    }
+
+    static int pickBatch(DramChannel &c, Cycle now) { return c.pickBatch(now); }
+};
+
 namespace
 {
 
@@ -333,6 +367,257 @@ TEST_F(DramChannelTest, DataBusNeverOverlaps)
     for (std::size_t i = 1; i < ends.size(); ++i)
         EXPECT_GE(ends[i] - ends[i - 1], DramTiming{}.tBurst)
             << "bursts overlap on the data bus";
+}
+
+// --------------------------------------------------------------------
+// Scheduler cross-check: the channel's picks, which read the bank and
+// row decoded once at enqueue, against the straightforward scheduler
+// that re-derives mapAddress() for every candidate and comparison.
+// --------------------------------------------------------------------
+
+/** The re-deriving scheduler over a snapshot of a channel's state. */
+struct OracleScheduler
+{
+    struct Entry
+    {
+        MemRequest req;
+        bool marked = false;
+    };
+
+    DramGeometry geo;
+    unsigned num_cores = 0;
+    std::vector<Bank> banks;
+    std::vector<Entry> read_q;
+    std::vector<Entry> write_q;
+    std::vector<std::uint64_t> thread_rank;
+    std::uint64_t marked_remaining = 0;
+
+    int
+    pickFrFcfs(const std::vector<Entry> &q, Cycle now) const
+    {
+        int best = -1;
+        bool best_hit = false;
+        for (std::size_t i = 0; i < q.size(); ++i) {
+            const DramCoord c = mapAddress(q[i].req.paddr, geo);
+            const Bank &b = banks[c.rank * geo.banks_per_rank + c.bank];
+            if (b.readyCycle() > now)
+                continue;
+            const bool hit = b.classify(c.row) == RowOutcome::kHit;
+            if (best < 0 || (hit && !best_hit)) {
+                best = static_cast<int>(i);
+                best_hit = hit;
+                if (hit)
+                    break;
+            }
+        }
+        return best;
+    }
+
+    void
+    formBatch()
+    {
+        constexpr unsigned kMarkingCap = 5;
+        marked_remaining = 0;
+        std::vector<std::vector<unsigned>> counts(
+            num_cores, std::vector<unsigned>(banks.size(), 0));
+        for (auto &qe : read_q) {
+            const DramCoord c = mapAddress(qe.req.paddr, geo);
+            const unsigned bank_idx = c.rank * geo.banks_per_rank + c.bank;
+            const CoreId core = qe.req.core % num_cores;
+            if (counts[core][bank_idx] < kMarkingCap) {
+                qe.marked = true;
+                ++counts[core][bank_idx];
+                ++marked_remaining;
+            } else {
+                qe.marked = false;
+            }
+        }
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> load(num_cores);
+        for (unsigned core = 0; core < num_cores; ++core) {
+            std::uint64_t mx = 0, tot = 0;
+            for (unsigned b = 0; b < banks.size(); ++b) {
+                mx = std::max<std::uint64_t>(mx, counts[core][b]);
+                tot += counts[core][b];
+            }
+            load[core] = {mx, tot};
+        }
+        std::vector<unsigned> order(num_cores);
+        for (unsigned i = 0; i < num_cores; ++i)
+            order[i] = i;
+        std::stable_sort(order.begin(), order.end(),
+                         [&](unsigned a, unsigned b) {
+                             return load[a] < load[b];
+                         });
+        for (unsigned pos = 0; pos < num_cores; ++pos)
+            thread_rank[order[pos]] = pos;
+    }
+
+    int
+    pickBatch(Cycle now)
+    {
+        if (marked_remaining == 0 && !read_q.empty())
+            formBatch();
+        int best = -1;
+        auto better = [&](const Entry &a, const Entry &b) {
+            if (a.marked != b.marked)
+                return a.marked;
+            const DramCoord ca = mapAddress(a.req.paddr, geo);
+            const DramCoord cb = mapAddress(b.req.paddr, geo);
+            const bool ha = banks[ca.rank * geo.banks_per_rank + ca.bank]
+                                .classify(ca.row) == RowOutcome::kHit;
+            const bool hb = banks[cb.rank * geo.banks_per_rank + cb.bank]
+                                .classify(cb.row) == RowOutcome::kHit;
+            if (ha != hb)
+                return ha;
+            const auto ra = thread_rank[a.req.core % num_cores];
+            const auto rb = thread_rank[b.req.core % num_cores];
+            if (ra != rb)
+                return ra < rb;
+            return a.req.cycle_mc_enqueue < b.req.cycle_mc_enqueue;
+        };
+        for (std::size_t i = 0; i < read_q.size(); ++i) {
+            const DramCoord c = mapAddress(read_q[i].req.paddr, geo);
+            const Bank &b = banks[c.rank * geo.banks_per_rank + c.bank];
+            if (b.readyCycle() > now)
+                continue;
+            if (best < 0 || better(read_q[i], read_q[best]))
+                best = static_cast<int>(i);
+        }
+        return best;
+    }
+};
+
+OracleScheduler
+snapshot(DramChannel &ch, const DramGeometry &geo, unsigned num_cores)
+{
+    using P = DramChannelTestPeer;
+    OracleScheduler o;
+    o.geo = geo;
+    o.num_cores = num_cores;
+    o.banks = P::banks(ch);
+    for (const auto &qe : P::readQ(ch))
+        o.read_q.push_back({qe.req, qe.marked});
+    for (const auto &qe : P::writeQ(ch))
+        o.write_q.push_back({qe.req, qe.marked});
+    o.thread_rank = P::threadRank(ch);
+    o.marked_remaining = P::markedRemaining(ch);
+    return o;
+}
+
+/** An address with the given in-channel coordinates. */
+Addr
+addrAt(const DramGeometry &g, unsigned rank, unsigned bank,
+       std::uint64_t row, unsigned column, unsigned channel)
+{
+    std::uint64_t line = row;
+    line = line * g.ranks_per_channel + rank;
+    line = line * g.linesPerRow() + column;
+    line = line * g.banks_per_rank + bank;
+    line = line * g.channels + channel;
+    return line << kLineShift;
+}
+
+/** Random queues, open rows, bank ready cycles, marks and ranks. */
+void
+randomize(DramChannel &ch, const DramGeometry &g, unsigned num_cores,
+          std::size_t limit, Rng &rng)
+{
+    using P = DramChannelTestPeer;
+    const DramTiming t;
+    for (Bank &b : P::banks(ch)) {
+        const unsigned steps = static_cast<unsigned>(rng.below(4));
+        for (unsigned k = 0; k < steps; ++k) {
+            RowOutcome out;
+            b.access(rng.below(3), rng.below(1500), t, rng.chance(0.3), out);
+        }
+        if (rng.chance(0.1))
+            b.refresh(rng.below(1500), t);
+    }
+    auto req = [&] {
+        MemRequest r;
+        r.paddr = addrAt(g, static_cast<unsigned>(rng.below(g.ranks_per_channel)),
+                         static_cast<unsigned>(rng.below(g.banks_per_rank)),
+                         rng.below(3),
+                         static_cast<unsigned>(rng.below(g.linesPerRow())),
+                         static_cast<unsigned>(rng.below(g.channels)));
+        r.core = static_cast<CoreId>(rng.below(2 * num_cores));
+        return r;
+    };
+    const std::size_t reads = rng.below(limit + 1);
+    for (std::size_t i = 0; i < reads; ++i)
+        ASSERT_TRUE(ch.enqueue(req(), rng.below(40)));
+    const std::size_t writes = rng.below(40);
+    for (std::size_t i = 0; i < writes; ++i) {
+        MemRequest w = req();
+        w.is_write = true;
+        ch.enqueue(w, rng.below(40));
+    }
+    for (auto &qe : P::readQ(ch))
+        qe.marked = rng.chance(0.5);
+    P::markedRemaining(ch) = rng.chance(0.3) ? 0 : rng.below(reads + 1);
+    for (auto &r : P::threadRank(ch))
+        r = rng.below(num_cores);
+}
+
+/** One cross-check of every pick against the oracle. */
+void
+crossCheck(DramChannel &ch, const DramGeometry &g, unsigned num_cores,
+           Cycle now)
+{
+    using P = DramChannelTestPeer;
+    OracleScheduler o = snapshot(ch, g, num_cores);
+    ch.checkConsistent([](const std::string &msg) { FAIL() << msg; });
+    EXPECT_EQ(P::pickFrFcfs(ch, false, now), o.pickFrFcfs(o.read_q, now));
+    EXPECT_EQ(P::pickFrFcfs(ch, true, now), o.pickFrFcfs(o.write_q, now));
+    EXPECT_EQ(P::pickBatch(ch, now), o.pickBatch(now));
+    // A batch formed inside pickBatch marks and ranks identically.
+    const OracleScheduler after = snapshot(ch, g, num_cores);
+    ASSERT_EQ(after.read_q.size(), o.read_q.size());
+    for (std::size_t i = 0; i < o.read_q.size(); ++i)
+        EXPECT_EQ(after.read_q[i].marked, o.read_q[i].marked) << i;
+    EXPECT_EQ(after.thread_rank, o.thread_rank);
+    EXPECT_EQ(after.marked_remaining, o.marked_remaining);
+}
+
+TEST(DramSchedulerOracle, PicksMatchReDerivingScheduler)
+{
+    DramGeometry two_rank = quadGeo();
+    two_rank.ranks_per_channel = 2;
+    two_rank.row_bytes = 4096;
+    Rng rng(17);
+    for (const DramGeometry &g : {quadGeo(), two_rank}) {
+        for (unsigned cores : {1u, 4u, 8u}) {
+            for (int trial = 0; trial < 300; ++trial) {
+                DramChannel ch(g, DramTiming{}, SchedPolicy::kBatch, 64,
+                               cores);
+                randomize(ch, g, cores, 64, rng);
+                crossCheck(ch, g, cores, rng.below(2500));
+                if (HasFailure())
+                    return;
+            }
+        }
+    }
+}
+
+TEST(DramSchedulerOracle, PicksMatchAfterCheckpointRoundTrip)
+{
+    // The decoded coordinates are not in the image: loading must
+    // re-derive them, or a restored channel schedules from defaults.
+    const DramGeometry g = quadGeo();
+    Rng rng(29);
+    for (int trial = 0; trial < 200; ++trial) {
+        DramChannel src(g, DramTiming{}, SchedPolicy::kBatch, 64, 4);
+        randomize(src, g, 4, 64, rng);
+        ckpt::Ar save = ckpt::Ar::saver();
+        src.ser(save);
+        DramChannel dst(g, DramTiming{}, SchedPolicy::kBatch, 64, 4);
+        ckpt::Ar load = ckpt::Ar::loader(save.takeBytes());
+        dst.ser(load);
+        ASSERT_TRUE(load.exhausted());
+        crossCheck(dst, g, 4, rng.below(2500));
+        if (HasFailure())
+            return;
+    }
 }
 
 } // namespace

@@ -20,6 +20,28 @@
 #include "emc/emc.hh"
 #include "sim/system.hh"
 
+namespace emc
+{
+
+/** Test access to the core's retry list. */
+struct CoreTestPeer
+{
+    /** Re-point the first parked load at another store; false if none. */
+    static bool
+    corruptFirstParkedBlocker(Core &c)
+    {
+        for (Core::RetryEntry &r : c.retry_q_) {
+            if (r.blocker != 0) {
+                r.blocker += 1;
+                return true;
+            }
+        }
+        return false;
+    }
+};
+
+} // namespace emc
+
 namespace emc::check
 {
 namespace
@@ -331,6 +353,31 @@ TEST(EmcPredBoundsTest, OutOfRangeCoreInMissPredUpdateAborts)
                  "core id out of range");
     EXPECT_DEATH(emc.warmMissPredUpdate(7, 0x100, 0x4000, false),
                  "core id out of range");
+}
+
+// --------------------------------------------------------------------
+// Core retry list: a parked load names the store a fresh SQ scan finds
+// --------------------------------------------------------------------
+
+TEST(CoreSelfCheckTest, WrongParkedBlockerFires)
+{
+    // lbm stream: loads wait on older stores with unknown addresses.
+    SystemConfig cfg;
+    cfg.prefetch = PrefetchConfig::kStream;
+    cfg.target_uops = 2000;
+    System sys(cfg, {"lbm", "lbm", "lbm", "lbm"});
+    Core &core = sys.mutableCore(0);
+    CollectingRegistry c;
+    bool corrupted = false;
+    while (!sys.finished() && !corrupted) {
+        sys.tickOnce();
+        core.selfCheck(c.reg);
+        ASSERT_TRUE(c.got.empty()) << c.got[0].format();
+        corrupted = CoreTestPeer::corruptFirstParkedBlocker(core);
+    }
+    ASSERT_TRUE(corrupted) << "no load ever parked";
+    core.selfCheck(c.reg);
+    EXPECT_TRUE(c.sawMessage("but the SQ scan gives"));
 }
 
 // --------------------------------------------------------------------
