@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot primitives:
  * cache lookups, DRAM channel scheduling, ring movement, the
- * workload generator and whole-system cycles. These guard the
+ * workload generator, whole-system cycles and System construction,
+ * cold and with shared workload builds. These guard the
  * simulator's own performance (a 1-second figure bench runs millions
  * of these operations).
  */
@@ -120,6 +121,25 @@ BM_SystemCycle(benchmark::State &state)
     state.SetLabel(cfg.emc_enabled ? "with-emc" : "no-emc");
 }
 BENCHMARK(BM_SystemCycle)->Arg(0)->Arg(1);
+
+void
+BM_SystemConstruct(benchmark::State &state)
+{
+    // Cold: a fresh seed per System, so every core builds its 4x mcf
+    // workload. Shared: one seed, so every System after the first
+    // takes the registry's build (DESIGN.md §7). Each iteration
+    // times one construction and destruction.
+    const bool cold = state.range(0) == 0;
+    SystemConfig cfg;
+    for (auto _ : state) {
+        if (cold)
+            ++cfg.seed;
+        System sys(cfg, {"mcf", "mcf", "mcf", "mcf"});
+        benchmark::DoNotOptimize(sys.cycles());
+    }
+    state.SetLabel(cold ? "4xmcf-cold" : "4xmcf-shared");
+}
+BENCHMARK(BM_SystemConstruct)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -102,29 +102,38 @@ System::System(const SystemConfig &cfg,
     emc_assert(cfg.dram.channels % cfg.num_mcs == 0,
                "channels must split evenly across MCs");
 
-    // Programs, page tables, cores.
+    // Programs, page tables, cores. A synthetic core's built memory
+    // and generator are a pure function of (profile, generator seed):
+    // the registry shares one sealed build per pair, so checkpoints
+    // carry only the words written from here on (DESIGN.md §7).
+    auto traced = [&](unsigned i) {
+        return i < cfg.trace_files.size() && !cfg.trace_files[i].empty();
+    };
+    std::vector<WorkloadRegistry::Key> keys;
+    for (unsigned i = 0; i < cfg.num_cores; ++i) {
+        if (!traced(i))
+            keys.emplace_back(benchmarks[i],
+                              trace::generatorSeed(cfg.seed, i));
+    }
+    workloads_ = WorkloadRegistry::acquire(keys);
     CoreConfig core_cfg = cfg.core;
     core_cfg.emc_enabled = cfg.emc_enabled;
-    for (unsigned i = 0; i < cfg.num_cores; ++i) {
-        memories_.push_back(std::make_unique<FunctionalMemory>());
+    for (unsigned i = 0, built = 0; i < cfg.num_cores; ++i) {
         page_tables_.push_back(
             std::make_unique<PageTable>(i, cfg.seed + i));
         std::unique_ptr<TraceSource> src;
-        if (i < cfg.trace_files.size() && !cfg.trace_files[i].empty()) {
+        if (traced(i)) {
             // Replay a captured trace (looping so long runs and
             // warmup never exhaust it). Dispatches on the container
             // version: v2 gets the streaming trace::Reader, v1 the
             // legacy FileTrace.
+            memories_.push_back(std::make_unique<FunctionalMemory>());
             src = trace::openTraceFile(cfg.trace_files[i], true);
         } else {
-            src = std::make_unique<SyntheticProgram>(
-                profileByName(benchmarks[i]), *memories_.back(),
-                trace::generatorSeed(cfg.seed, i));
+            const BuiltWorkload &w = *workloads_[built++];
+            memories_.push_back(w.memory());
+            src = w.program(*memories_.back());
         }
-        // What the generator just built is a pure function of (profile,
-        // seed): make it the base, so checkpoints carry only the words
-        // written from here on (DESIGN.md §7).
-        memories_.back()->seal();
         if (!cfg.capture_prefix.empty()) {
             auto inner = std::move(src);
             trace::Provenance prov;

@@ -36,7 +36,7 @@
 #include "isa/trace_io.hh"
 #include "trace/reader.hh"
 #include "trace/writer.hh"
-#include "workload/synthetic.hh"
+#include "workload/registry.hh"
 
 namespace emc
 {
@@ -518,6 +518,8 @@ class System : public CorePort
     Cycle warmup_end_cycle_ = 0;
 
     // Programs and cores.
+    // ckpt-skip: (shared builds behind memories_ and programs_)
+    std::vector<std::shared_ptr<const BuiltWorkload>> workloads_;
     std::vector<std::unique_ptr<FunctionalMemory>> memories_;
     std::vector<std::unique_ptr<PageTable>> page_tables_;
     std::vector<std::unique_ptr<TraceSource>> programs_;

@@ -48,7 +48,7 @@ SyntheticProgram::buildGraph()
         pow2Below(profile_.ws_bytes / (8 * (2 + deg)));
     for (std::uint64_t v = 0; v < graph_verts_; ++v) {
         const Addr row = kGraphEdgeBase + v * deg * 8;
-        mem_.write(kGraphRowBase + v * 8, row);
+        mem_->write(kGraphRowBase + v * 8, row);
         for (unsigned e = 0; e < deg; ++e) {
             // Community structure: most edges stay within a ±512
             // vertex window (the traversal revisits a bounded page
@@ -60,9 +60,9 @@ SyntheticProgram::buildGraph()
                     ? rng_.below(graph_verts_)
                     : (v + rng_.below(1024) - 512)
                           & (graph_verts_ - 1);
-            mem_.write(row + e * 8, target);
+            mem_->write(row + e * 8, target);
         }
-        mem_.write(kGraphValBase + v * 8, rng_.next());
+        mem_->write(kGraphValBase + v * 8, rng_.next());
     }
 }
 
@@ -138,7 +138,7 @@ SyntheticProgram::buildHashTable()
     }
     for (std::uint64_t b = 0; b < hash_buckets_; ++b) {
         const std::uint64_t first = b * chain;
-        mem_.write(kHashBucketBase + b * 8,
+        mem_->write(kHashBucketBase + b * 8,
                    kHashNodeBase + Addr(slot[first]) * kLineBytes);
         for (unsigned n = 0; n < chain; ++n) {
             const Addr node =
@@ -146,9 +146,9 @@ SyntheticProgram::buildHashTable()
             const Addr next =
                 kHashNodeBase
                 + Addr(slot[first + (n + 1) % chain]) * kLineBytes;
-            mem_.write(node, next);
-            mem_.write(node + 8, rng_.next());   // key
-            mem_.write(node + 16, rng_.next());  // payload
+            mem_->write(node, next);
+            mem_->write(node + 8, rng_.next());   // key
+            mem_->write(node + 16, rng_.next());  // payload
         }
     }
 }
@@ -215,7 +215,7 @@ SyntheticProgram::buildEmbedTable()
         const std::uint64_t row = rng_.chance(profile_.gather_hot_frac)
                                       ? rng_.below(hot)
                                       : rng_.below(embed_rows_);
-        mem_.write(kEmbedIdxBase + i * 8,
+        mem_->write(kEmbedIdxBase + i * 8,
                    kEmbedRowBase + Addr(row) * lines * kLineBytes);
     }
 }

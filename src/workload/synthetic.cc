@@ -11,7 +11,7 @@ namespace emc
 SyntheticProgram::SyntheticProgram(const BenchmarkProfile &profile,
                                    FunctionalMemory &mem,
                                    std::uint64_t seed)
-    : profile_(profile), mem_(mem), rng_(seed)
+    : profile_(profile), mem_(&mem), rng_(seed)
 {
     // Size the chase ring and stream region from the working set.
     chase_nodes_ = std::max<std::uint64_t>(64, profile.ws_bytes / kLineBytes);
@@ -35,6 +35,13 @@ SyntheticProgram::SyntheticProgram(const BenchmarkProfile &profile,
     if (profile.mix_gather > 0)
         buildEmbedTable();
     emitInit();
+}
+
+SyntheticProgram::SyntheticProgram(const SyntheticProgram &built,
+                                   FunctionalMemory &mem)
+    : SyntheticProgram(built)
+{
+    mem_ = &mem;
 }
 
 void
@@ -77,14 +84,14 @@ SyntheticProgram::buildChaseRing()
     }
     order = std::move(shuffled);
     for (std::uint64_t i = 0; i < chase_nodes_; ++i) {
+        const std::uint64_t succ = i + 1 == chase_nodes_ ? 0 : i + 1;
         const Addr node = kChaseBase + static_cast<Addr>(order[i])
                                            * kLineBytes;
         const Addr next = kChaseBase
-                          + static_cast<Addr>(order[(i + 1) % chase_nodes_])
-                                * kLineBytes;
-        mem_.write(node, next);
-        mem_.write(node + 8, rng_.next());
-        mem_.write(node + 16, rng_.next());
+                          + static_cast<Addr>(order[succ]) * kLineBytes;
+        mem_->write(node, next);
+        mem_->write(node + 8, rng_.next());
+        mem_->write(node + 16, rng_.next());
     }
     // Start each independent chase stream at a different point of the
     // ring so concurrent traversals do not collide for the run lengths
@@ -128,7 +135,7 @@ SyntheticProgram::push(Opcode op, std::uint8_t dst, std::uint8_t src1,
     switch (op) {
       case Opcode::kLoad: {
         d.vaddr = effectiveAddr(a, imm);
-        d.mem_value = mem_.read(d.vaddr);
+        d.mem_value = mem_->read(d.vaddr);
         d.result = d.mem_value;
         if (dst != kNoReg)
             regs_[dst] = d.result;
@@ -137,7 +144,7 @@ SyntheticProgram::push(Opcode op, std::uint8_t dst, std::uint8_t src1,
       case Opcode::kStore: {
         d.vaddr = effectiveAddr(a, imm);
         d.mem_value = b;
-        mem_.write(d.vaddr, b);
+        mem_->write(d.vaddr, b);
         break;
       }
       case Opcode::kBranch: {

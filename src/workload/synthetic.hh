@@ -52,6 +52,14 @@ class SyntheticProgram : public TraceSource
     SyntheticProgram(const BenchmarkProfile &profile, FunctionalMemory &mem,
                      std::uint64_t seed);
 
+    /**
+     * A copy of @p built that continues on @p mem, which must hold
+     * what @p built's memory holds (an overlay on its sealed base).
+     * Construction is deterministic, so a copy taken right after
+     * construction equals a fresh build from the same profile and seed.
+     */
+    SyntheticProgram(const SyntheticProgram &built, FunctionalMemory &mem);
+
     bool next(DynUop &out) override;
     std::uint64_t produced() const override { return produced_; }
 
@@ -62,6 +70,8 @@ class SyntheticProgram : public TraceSource
     const BenchmarkProfile &profile() const { return profile_; }
 
   private:
+    SyntheticProgram(const SyntheticProgram &) = default;
+
     // Virtual-address layout of the program.
     static constexpr Addr kChaseBase = 0x10000000;
     static constexpr Addr kStreamBase = 0x20000000;
@@ -118,7 +128,7 @@ class SyntheticProgram : public TraceSource
     std::uint64_t regVal(std::uint8_t r) const;
 
     BenchmarkProfile profile_;
-    FunctionalMemory &mem_;
+    FunctionalMemory *mem_;
     Rng rng_;
 
     std::uint64_t regs_[kArchRegs] = {};

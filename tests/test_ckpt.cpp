@@ -14,6 +14,10 @@
  *  - the `workload` section carries only dirty memory words: restore
  *    reverts the target's own dirty pages, checks each core's profile
  *    and generator seed, and stays far below the old full-memory size
+ *  - the workload registry: a System whose workloads come from the
+ *    registry (shared builds) matches one that built them cold, image
+ *    for image and stat for stat, and the registry keeps only the most
+ *    recent System's builds once no System uses them
  *  - config-hash gating, corrupt/truncated images, and refusal paths
  *  - bench harness: per-job failure isolation in runMany(),
  *    runManySampled() and runManyWarmShared(), the shared-vs-per-job
@@ -24,6 +28,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -34,6 +40,8 @@
 #include "bench/bench_util.hh"
 #include "ckpt/ckpt.hh"
 #include "sim/system.hh"
+#include "trace/record.hh"
+#include "workload/registry.hh"
 
 namespace emc
 {
@@ -47,6 +55,26 @@ struct CoreTestPeer
         unsigned n = 0;
         for (const Core::RetryEntry &r : c.retry_q_)
             n += r.blocker != 0 ? 1 : 0;
+        return n;
+    }
+};
+
+/** Test access to the workload registry's entries. */
+struct WorkloadRegistryTestPeer
+{
+    /** How many cores' builds of @p mix under System seed @p seed
+     *  the registry still reaches. */
+    static std::size_t
+    held(const std::vector<std::string> &mix, std::uint64_t seed)
+    {
+        WorkloadRegistry &r = WorkloadRegistry::instance();
+        std::lock_guard<std::mutex> lock(r.mu_);
+        std::size_t n = 0;
+        for (unsigned i = 0; i < mix.size(); ++i) {
+            auto it = r.entries_.find({mix[i], trace::generatorSeed(seed, i)});
+            if (it != r.entries_.end() && !it->second.expired())
+                ++n;
+        }
         return n;
     }
 };
@@ -494,6 +522,80 @@ TEST(CkptWarmup, RequiresAConfiguredWarmupPhase)
     cfg.warmup_uops = 0;
     System sys(cfg, {"mcf"});
     EXPECT_THROW(sys.warmupCheckpointBytes(), emc::ckpt::Error);
+}
+
+/** What one System shows of itself: images at cycle 0 and mid-run,
+ *  and the dump after its run. */
+struct Observed
+{
+    std::vector<std::uint8_t> start;
+    std::vector<std::uint8_t> mid;
+    StatDump dump;
+};
+
+Observed
+observe(const SystemConfig &cfg, const std::vector<std::string> &mix,
+        Cycle mid)
+{
+    const std::string path = tmpPath("registry_mid.ckpt");
+    std::remove(path.c_str());
+    Observed o;
+    System sys(cfg, mix);
+    o.start = sys.saveCheckpointBytes(emc::ckpt::Level::kFull);
+    sys.scheduleCheckpoint(path, mid);
+    sys.run();
+    o.dump = sys.dump();
+    EXPECT_GT(sys.cycles(), mid);
+    o.mid = emc::ckpt::readFile(path);
+    std::remove(path.c_str());
+    return o;
+}
+
+TEST(CkptWorkloadRegistry, SharedBuildsMatchColdBuilds)
+{
+    // Seeds no other test uses, so the first System of each builds
+    // its workloads cold and the second takes them from the registry.
+    SystemConfig cfg = fig13Config();
+    cfg.seed = 90017;
+    const std::vector<std::string> mix = fig13Mix();
+    using Peer = emc::WorkloadRegistryTestPeer;
+
+    ASSERT_EQ(Peer::held(mix, cfg.seed), 0u);
+    const Observed cold = observe(cfg, mix, 2000);
+    // The destroyed System was the last one built: its builds stay.
+    ASSERT_EQ(Peer::held(mix, cfg.seed), mix.size());
+    const Observed shared = observe(cfg, mix, 2000);
+    EXPECT_EQ(cold.start, shared.start);
+    EXPECT_EQ(cold.mid, shared.mid);
+    expectIdentical(cold.dump, shared.dump, "cold vs shared build");
+
+    SystemConfig warm = cfg;
+    warm.seed = 90029;
+    ASSERT_EQ(Peer::held(mix, warm.seed), 0u);
+    const auto cold_warm = System(warm, mix).warmupCheckpointBytes();
+    ASSERT_EQ(Peer::held(mix, warm.seed), mix.size());
+    EXPECT_EQ(cold_warm, System(warm, mix).warmupCheckpointBytes());
+}
+
+TEST(CkptWorkloadRegistry, KeepsOnlyTheLastSystemsBuilds)
+{
+    using Peer = emc::WorkloadRegistryTestPeer;
+    SystemConfig cfg = smallConfig();
+    const std::vector<std::string> mix_a = smallMix();
+    const std::vector<std::string> mix_b = {"omnetpp", "mcf"};
+    SystemConfig cfg_a = cfg, cfg_b = cfg;
+    cfg_a.seed = 90031;
+    cfg_b.seed = 90037;
+
+    auto a = std::make_unique<System>(cfg_a, mix_a);
+    auto b = std::make_unique<System>(cfg_b, mix_b);
+    // A live System keeps its builds reachable.
+    EXPECT_EQ(Peer::held(mix_a, cfg_a.seed), mix_a.size());
+    EXPECT_EQ(Peer::held(mix_b, cfg_b.seed), mix_b.size());
+    a.reset();
+    b.reset();
+    EXPECT_EQ(Peer::held(mix_a, cfg_a.seed), 0u);
+    EXPECT_EQ(Peer::held(mix_b, cfg_b.seed), mix_b.size());
 }
 
 TEST(BenchHarness, RunManyIsolatesPerJobFailures)

@@ -96,6 +96,36 @@ TEST(Determinism, ParallelHarnessMatchesSequential)
               res[1].get("prefetch.issued"));
 }
 
+TEST(Determinism, PooledJobsSharingOneMixMatchSequential)
+{
+    // Every job runs one mix at one seed that no other test uses, so
+    // the pool's workers race to build the same workloads, then run
+    // on overlays of one shared build at once.
+    SystemConfig base = testConfig();
+    base.seed = 90043;
+    std::vector<emc::bench::RunJob> jobs;
+    for (emc::PrefetchConfig pf :
+         {emc::PrefetchConfig::kNone, emc::PrefetchConfig::kGhb}) {
+        for (bool emc_on : {false, true}) {
+            SystemConfig c = base;
+            c.prefetch = pf;
+            c.emc_enabled = emc_on;
+            jobs.push_back({c, testMix()});
+        }
+    }
+    setenv("EMC_BENCH_THREADS", "4", 1);
+    const std::vector<StatDump> pooled = emc::bench::runMany(jobs);
+    unsetenv("EMC_BENCH_THREADS");
+
+    ASSERT_EQ(pooled.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        expectIdentical(emc::bench::run(jobs[i].cfg, jobs[i].benchmarks),
+                        pooled[i], "pooled job on a shared build");
+    }
+    EXPECT_NE(pooled[0].get("system.cycles"),
+              pooled[3].get("system.cycles"));
+}
+
 TEST(Determinism, CycleSkipDoesNotChangeAnyStat)
 {
     const StatDump fast = emc::bench::run(testConfig(), testMix());

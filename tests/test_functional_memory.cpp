@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the paged functional memory: read/write semantics across
- * pages and far-apart regions, footprint accounting, the base/dirty
- * model (seal, revert) and dirty-word checkpoint round trips, and the
- * per-profile footprint of every built workload.
+ * pages and far-apart regions, footprint accounting, the base/overlay
+ * model (seal, revert, several overlays on one base) and dirty-word
+ * checkpoint round trips, and the per-profile footprint of every built
+ * workload.
  */
 
 #include <gtest/gtest.h>
@@ -144,6 +145,102 @@ TEST(FunctionalMemoryTest, SealRevertAndDirtyOnlyCheckpoint)
     EXPECT_EQ(a.read(0x10000000 + kPage + 16),
               (0x10000000 + kPage + 16) ^ 0x5a5a);
     EXPECT_EQ(a.read(0x50000000), 0u);
+}
+
+/** What a test can observe of a memory's dirty state. */
+struct DirtyState
+{
+    std::vector<std::uint8_t> image;
+    std::size_t footprint_words, dirty_pages, dirty_words;
+
+    explicit DirtyState(FunctionalMemory &m)
+        : image(ckpt::save(m)), footprint_words(m.footprintWords()),
+          dirty_pages(m.dirtyPages()), dirty_words(m.dirtyWords())
+    {
+    }
+
+    bool
+    operator==(const DirtyState &o) const
+    {
+        return image == o.image && footprint_words == o.footprint_words
+               && dirty_pages == o.dirty_pages
+               && dirty_words == o.dirty_words;
+    }
+};
+
+TEST(FunctionalMemoryTest, OverlaysOnOneBaseStayPrivate)
+{
+    const Addr lo = 0x10000000;
+    auto build = [&](FunctionalMemory &m) {
+        for (Addr a = lo; a < lo + 4 * kPage; a += 8)
+            m.write(a, a ^ 0x5a5a);
+        m.seal();
+    };
+    // The same writes: into a base page, a page the base lacks, and a
+    // base page written twice.
+    auto dirty = [&](FunctionalMemory &m) {
+        m.write(lo + kPage + 16, 1);
+        m.write(0x50000000, 2);
+        m.write(lo + 2 * kPage, 3);
+        m.write(lo + 2 * kPage, 4);
+    };
+    FunctionalMemory sealed;
+    build(sealed);
+    FunctionalMemory a(sealed.base()), b(sealed.base());
+    EXPECT_EQ(a.dirtyPages(), 0u);
+    EXPECT_EQ(a.footprintWords(), 4 * FunctionalMemory::kPageWords);
+    EXPECT_EQ(a.read(lo + 3 * kPage), (lo + 3 * kPage) ^ 0x5a5a);
+
+    dirty(a);
+    EXPECT_EQ(a.read(lo + kPage + 16), 1u);
+    EXPECT_EQ(a.read(lo + 2 * kPage), 4u);
+    // Neither the other overlay nor the base sees a's writes.
+    for (FunctionalMemory *m : {&b, &sealed}) {
+        EXPECT_EQ(m->read(lo + kPage + 16), (lo + kPage + 16) ^ 0x5a5a);
+        EXPECT_EQ(m->read(0x50000000), 0u);
+        EXPECT_EQ(m->read(lo + 2 * kPage), (lo + 2 * kPage) ^ 0x5a5a);
+        EXPECT_EQ(m->dirtyPages(), 0u);
+    }
+
+    // An overlay reports what a memory built cold reports.
+    FunctionalMemory cold;
+    build(cold);
+    dirty(cold);
+    EXPECT_TRUE(DirtyState(a) == DirtyState(cold));
+    EXPECT_EQ(a.dirtyPages(), 3u);
+    EXPECT_EQ(a.dirtyWords(), 3u);
+
+    // An overlay's image loads into another overlay on the same base.
+    b.write(lo, 9);
+    ckpt::load(b, ckpt::save(a));
+    EXPECT_TRUE(DirtyState(b) == DirtyState(a));
+    EXPECT_EQ(b.read(lo), lo ^ 0x5a5a);
+
+    // revert() restores the base.
+    a.revert();
+    EXPECT_EQ(a.dirtyPages(), 0u);
+    EXPECT_EQ(a.footprintWords(), 4 * FunctionalMemory::kPageWords);
+    EXPECT_EQ(a.read(lo + kPage + 16), (lo + kPage + 16) ^ 0x5a5a);
+    EXPECT_EQ(a.read(0x50000000), 0u);
+    EXPECT_TRUE(DirtyState(a) == DirtyState(sealed));
+}
+
+TEST(FunctionalMemoryTest, OverlayOnEmptyBaseMatchesUnsealedMemory)
+{
+    FunctionalMemory empty;
+    empty.seal();
+    FunctionalMemory over(empty.base());
+    FunctionalMemory plain;
+    const std::vector<Addr> addrs = farAddrs();
+    for (FunctionalMemory *m : {&over, &plain}) {
+        for (std::size_t i = 0; i < addrs.size(); ++i)
+            m->write(addrs[i], 0x77 + i);
+    }
+    EXPECT_TRUE(DirtyState(over) == DirtyState(plain));
+    EXPECT_EQ(over.dirtyPages(), plain.dirtyPages());
+    over.revert();
+    EXPECT_EQ(over.footprintWords(), 0u);
+    EXPECT_EQ(over.read(addrs[0]), 0u);
 }
 
 /**

@@ -81,6 +81,38 @@ TEST(SyntheticTest, Deterministic)
     }
 }
 
+TEST(SyntheticTest, CopyOnAnOverlayContinuesLikeAFreshBuild)
+{
+    // A generator copied right after construction onto an overlay of
+    // its sealed memory (how a System takes a shared build) emits the
+    // uops a freshly built generator emits, and its writes stay in
+    // the overlay: a second copy from the same build starts over.
+    for (const char *name : {"mcf", "lbm", "bfs", "hashjoin", "embed"}) {
+        FunctionalMemory built_mem;
+        const SyntheticProgram built(profileByName(name), built_mem, 42);
+        built_mem.seal();
+        for (int round = 0; round < 2; ++round) {
+            FunctionalMemory over(built_mem.base());
+            SyntheticProgram copy(built, over);
+            FunctionalMemory again_mem;
+            SyntheticProgram again(profileByName(name), again_mem, 42);
+            for (int i = 0; i < 20000; ++i) {
+                DynUop ua, ub;
+                ASSERT_TRUE(again.next(ua));
+                ASSERT_TRUE(copy.next(ub));
+                ASSERT_EQ(ua.uop.op, ub.uop.op) << name << " uop " << i;
+                ASSERT_EQ(ua.uop.pc, ub.uop.pc) << name << " uop " << i;
+                ASSERT_EQ(ua.vaddr, ub.vaddr) << name << " uop " << i;
+                ASSERT_EQ(ua.mem_value, ub.mem_value) << name << " uop " << i;
+                ASSERT_EQ(ua.result, ub.result) << name << " uop " << i;
+            }
+            EXPECT_EQ(over.footprintWords(), again_mem.footprintWords())
+                << name;
+        }
+        EXPECT_EQ(built_mem.dirtyPages(), 0u) << name;
+    }
+}
+
 TEST(SyntheticTest, SeedsDiffer)
 {
     FunctionalMemory m1, m2;
