@@ -13,6 +13,7 @@
 # `emctracegen verify` exit non-zero with a byte offset, not crash.
 #
 # Usage: scripts/trace_crosscheck.sh [BUILD_DIR]   (default: build)
+# ctest runs it as `trace_crosscheck` against the configured build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

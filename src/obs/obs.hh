@@ -3,7 +3,7 @@
  * Trace-hook entry point (DESIGN.md §6).
  *
  * Every component trace hook goes through EMC_OBS_POINT — never call
- * Tracer::record directly from simulator code (tools/lint_sim.py
+ * Tracer::record directly from simulator code (tools/emclint
  * enforces this with the trace-hook rule). The macro is a single
  * predictable null test when no tracer is attached, and compiles to
  * nothing when the EMC_SIM_TRACE CMake option is OFF, so hook

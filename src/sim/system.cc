@@ -123,12 +123,11 @@ System::System(const SystemConfig &cfg,
             std::make_unique<PageTable>(i, cfg.seed + i));
         std::unique_ptr<TraceSource> src;
         if (traced(i)) {
-            // Replay a captured trace (looping so long runs and
-            // warmup never exhaust it). Dispatches on the container
-            // version: v2 gets the streaming trace::Reader, v1 the
-            // legacy FileTrace.
+            // Replay a captured v2 trace (looping so long runs and
+            // warmup never exhaust it).
             memories_.push_back(std::make_unique<FunctionalMemory>());
-            src = trace::openTraceFile(cfg.trace_files[i], true);
+            src = std::make_unique<trace::Reader>(cfg.trace_files[i],
+                                                  true);
         } else {
             const BuiltWorkload &w = *workloads_[built++];
             memories_.push_back(w.memory());

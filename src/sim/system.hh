@@ -33,7 +33,6 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/fastwarm.hh"
-#include "isa/trace_io.hh"
 #include "trace/reader.hh"
 #include "trace/writer.hh"
 #include "workload/registry.hh"

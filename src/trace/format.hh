@@ -3,14 +3,13 @@
  * The v2 binary uop-trace container (DESIGN.md §11).
  *
  * A v2 trace is a versioned, seekable, compressed container for
- * dynamic uop streams — the format every trace file in and out of the
- * simulator goes through (the fixed-record v1 dump of
- * src/isa/trace_io remains readable as a legacy input). Layout, all
+ * dynamic uop streams — the only format a trace file in or out of the
+ * simulator uses; probeFile() rejects every other version. Layout, all
  * multi-byte integers little-endian:
  *
  *   header:
- *     0  char[4] "EMCT"            (shared with v1)
- *     4  u32     version = 2       (v1 files carry 1 here)
+ *     0  char[4] "EMCT"
+ *     4  u32     version = 2
  *     8  u64     header_bytes      (file offset of the first block)
  *    16  u64     uop_count         (back-patched at close)
  *    24  u64     block_count       (back-patched at close)
@@ -52,7 +51,7 @@
 namespace emc::trace
 {
 
-/** Shared magic of every trace version (v1 wrote the same bytes). */
+/** Magic opening every trace file, whatever its version. */
 constexpr char kMagic[4] = {'E', 'M', 'C', 'T'};
 /** Container version this subsystem writes. */
 constexpr std::uint32_t kVersion = 2;
@@ -111,26 +110,26 @@ struct Provenance
     std::uint64_t seed = 0;
 };
 
-/** Parsed v2 header plus the v1 fields a probe can report. */
+/** Parsed v2 header. */
 struct Info
 {
     std::uint32_t version = 0;
     std::uint64_t uop_count = 0;
-    std::uint64_t block_count = 0;   ///< 0 for v1
-    std::uint32_t block_uops = 0;    ///< 0 for v1
-    std::uint64_t index_offset = 0;  ///< 0 for v1 / unfinalized v2
+    std::uint64_t block_count = 0;
+    std::uint32_t block_uops = 0;
+    std::uint64_t index_offset = 0;  ///< 0 when never finalized
     std::uint64_t header_bytes = 0;
     std::uint32_t flags = 0;
     std::uint64_t file_bytes = 0;
-    Provenance provenance;           ///< empty for v1
+    Provenance provenance;
 
-    bool finalized() const { return version == 1 || index_offset != 0; }
+    bool finalized() const { return index_offset != 0; }
 };
 
 /**
- * Probe @p path: magic, version, header fields, provenance. Works on
- * both v1 and v2 files without touching record data. Throws Error on
- * open failure or a malformed header.
+ * Probe @p path: magic, version, header fields, provenance, without
+ * touching record data. Throws Error on open failure, a version other
+ * than kVersion or a malformed header.
  */
 Info probeFile(const std::string &path);
 

@@ -5,7 +5,6 @@
 
 #include "ckpt/ckpt.hh"
 #include "ckpt/serial.hh"
-#include "isa/trace_io.hh"
 
 namespace emc::trace
 {
@@ -75,15 +74,6 @@ probeOpen(std::FILE *f, const std::string &path)
     if (std::memcmp(head, kMagic, 4) != 0)
         throw Error("not an EMCT trace file: " + path, 0);
     info.version = getU32(head + 4);
-
-    if (info.version == 1) {
-        // Legacy fixed-record dump: magic, u32 version, u64 count.
-        std::uint8_t cnt[8];
-        readAt(f, 8, cnt, sizeof cnt, "v1 record count");
-        info.uop_count = getU64(cnt);
-        info.header_bytes = 16;
-        return info;
-    }
     if (info.version != kVersion)
         throw Error("unsupported trace version "
                         + std::to_string(info.version) + " in " + path,
@@ -147,22 +137,21 @@ Reader::Reader(const std::string &path, bool loop)
         throw Error("cannot open trace file: " + path, 0);
     try {
         info_ = probeOpen(file_, path);
-        if (info_.version != kVersion)
-            throw Error("Reader needs a v2 trace (openTraceFile() "
-                        "dispatches v1 files): "
-                            + path,
-                        4);
         if (!info_.finalized())
             throw Error("trace was never finalized (writer did not "
                         "close cleanly): "
                             + path,
                         32);
 
-        // Load and validate the seek index.
-        if (info_.index_offset + 8
-                + 16 * info_.block_count > info_.file_bytes)
-            throw Error("seek index overruns the file",
-                        info_.index_offset);
+        // Load and validate the seek index. Bound block_count by
+        // the bytes after the index magic, without overflowing.
+        if (info_.index_offset > info_.file_bytes
+            || info_.file_bytes - info_.index_offset < 8)
+            throw Error("seek index offset past the end of the file",
+                        32);
+        if (info_.block_count
+            > (info_.file_bytes - info_.index_offset - 8) / 16)
+            throw Error("seek index overruns the file", 24);
         std::uint8_t magic[8];
         readAt(file_, info_.index_offset, magic, sizeof magic,
                "index magic");
@@ -235,6 +224,9 @@ Reader::loadBlock(std::size_t block_idx)
                     e.offset + 12);
 
     const std::uint64_t body_at = e.offset + kBlockHeaderBytes;
+    // The block header read succeeded, so body_at <= file_bytes.
+    if (stored_bytes > info_.file_bytes - body_at)
+        throw Error("block payload overruns the file", e.offset + 8);
     std::vector<std::uint8_t> body(stored_bytes);
     readRaw(body.data(), body.size(), body_at, "block payload");
     if (codec == kCodecDeflate) {
@@ -333,8 +325,7 @@ Reader::ckptSer(ckpt::Ar &ar)
     std::uint64_t produced = produced_;
     ar.io(produced);
     if (ar.loading()) {
-        // O(block) restore: seek straight to the stream position (v1
-        // FileTrace replays the whole prefix here).
+        // O(block) restore: seek straight to the stream position.
         if (info_.uop_count == 0 && produced != 0)
             throw ckpt::Error("checkpointed position in an empty "
                               "trace");
@@ -345,15 +336,6 @@ Reader::ckptSer(ckpt::Ar &ar)
             throw ckpt::Error("trace file shorter than checkpointed "
                               "position");
     }
-}
-
-std::unique_ptr<TraceSource>
-openTraceFile(const std::string &path, bool loop)
-{
-    const Info info = probeFile(path);
-    if (info.version == 1)
-        return std::make_unique<FileTrace>(path, loop);
-    return std::make_unique<Reader>(path, loop);
 }
 
 std::uint64_t

@@ -15,7 +15,6 @@
 #define EMC_TRACE_READER_HH
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -90,16 +89,6 @@ class Reader : public TraceSource
     std::uint64_t pos_ = 0;       ///< absolute next-record index
     std::uint64_t produced_ = 0;  ///< total records handed out
 };
-
-/**
- * Open @p path as a TraceSource, dispatching on the container
- * version: v2 files get the streaming Reader, v1 files the legacy
- * fixed-record FileTrace of src/isa/trace_io. This is the only
- * sanctioned way for simulator code to consume a trace file. Throws
- * trace::Error on a missing file or unknown version.
- */
-std::unique_ptr<TraceSource> openTraceFile(const std::string &path,
-                                           bool loop = false);
 
 /**
  * Walk every block of a v2 file end to end: validate the header,

@@ -2,10 +2,10 @@
  * @file
  * Tests for the v2 compressed trace container (src/trace/,
  * DESIGN.md §11): round-trip fidelity across block boundaries, size
- * vs the v1 fixed-record dump, seek-index positioning, v1/v2 dispatch
- * through openTraceFile, typed structural errors with byte offsets,
- * and the record/replay stat-identity guarantee on a fig13-class
- * single-core run.
+ * vs the retired v1 fixed-record dump, seek-index positioning,
+ * rejection of version-1 files, typed structural errors with byte
+ * offsets (crafted headers included), and the record/replay
+ * stat-identity guarantee on a fig13-class single-core run.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "isa/trace_io.hh"
 #include "mem/functional_memory.hh"
 #include "sim/system.hh"
 #include "trace/reader.hh"
@@ -113,6 +112,19 @@ corruptByte(const std::string &path, long at)
     const int c = std::fgetc(f);
     std::fseek(f, at, SEEK_SET);
     std::fputc(c ^ 0xff, f);
+    std::fclose(f);
+}
+
+/** Overwrite @p width little-endian bytes at @p at with @p value. */
+void
+patchLe(const std::string &path, long at, std::uint64_t value,
+        unsigned width)
+{
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, at, SEEK_SET);
+    for (unsigned i = 0; i < width; ++i)
+        std::fputc(static_cast<int>((value >> (8 * i)) & 0xff), f);
     std::fclose(f);
 }
 
@@ -228,19 +240,16 @@ TEST(TraceV2Test, AtLeastFourTimesSmallerThanV1)
 {
     for (const char *profile : {"mcf", "bfs"}) {
         const std::vector<DynUop> ref = genUops(profile, 20000, 11);
-        const std::string v1 = tmpPath("size.v1.emct");
         const std::string v2 = tmpPath("size.v2.emct");
         {
-            TraceWriter w1(v1);
             trace::Writer w2(v2);
-            for (const DynUop &d : ref) {
-                w1.append(d);
+            for (const DynUop &d : ref)
                 w2.append(d);
-            }
-            w1.close();
             w2.close();
         }
-        const std::size_t b1 = fileBytes(v1);
+        // v1 was a 16-byte header plus one fixed 46-byte record per
+        // uop, whatever the stream.
+        const std::size_t b1 = 16 + 46 * ref.size();
         const std::size_t b2 = fileBytes(v2);
         EXPECT_GE(b1, 4 * b2)
             << profile << ": v1=" << b1 << " v2=" << b2 << " ratio="
@@ -296,37 +305,40 @@ TEST(TraceV2Test, LoopModeWraps)
 }
 
 // --------------------------------------------------------------------
-// Version dispatch
+// Version check
 // --------------------------------------------------------------------
 
-TEST(TraceV2Test, OpenTraceFileReadsV1AndV2)
+TEST(TraceV2Test, VersionOneFileIsRejected)
 {
-    const std::vector<DynUop> ref = genUops("mcf", 120, 21);
-    const std::string v1 = tmpPath("dispatch.v1.emct");
-    const std::string v2 = tmpPath("dispatch.v2.emct");
+    // A v1 header: magic, u32 version 1, u64 record count.
+    const std::string path = tmpPath("v1.emct");
     {
-        TraceWriter w1(v1);
-        trace::Writer w2(v2);
-        for (const DynUop &d : ref) {
-            w1.append(d);
-            w2.append(d);
-        }
-        w1.close();
-        w2.close();
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        const std::uint8_t head[16] = {'E', 'M', 'C', 'T', 1, 0, 0, 0,
+                                       0, 0, 0, 0, 0, 0, 0, 0};
+        ASSERT_EQ(std::fwrite(head, 1, sizeof head, f), sizeof head);
+        std::fclose(f);
     }
-    for (const std::string &path : {v1, v2}) {
-        auto src = trace::openTraceFile(path);
-        DynUop d;
-        for (std::uint64_t i = 0; i < ref.size(); ++i) {
-            ASSERT_TRUE(src->next(d)) << path;
-            expectSameUop(d, ref[i], i);
-        }
-        EXPECT_FALSE(src->next(d));
+    auto expectVersionOneError = [](const trace::Error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("unsupported trace version 1"),
+                  std::string::npos)
+            << what;
+        EXPECT_EQ(e.offset(), 4u) << what;
+    };
+    try {
+        trace::probeFile(path);
+        FAIL() << "probeFile accepted a v1 file";
+    } catch (const trace::Error &e) {
+        expectVersionOneError(e);
     }
-    // probeFile reports the version either way.
-    EXPECT_EQ(trace::probeFile(v1).version, 1u);
-    EXPECT_EQ(trace::probeFile(v2).version, trace::kVersion);
-    EXPECT_EQ(trace::probeFile(v1).uop_count, 120u);
+    try {
+        trace::Reader r(path);
+        FAIL() << "Reader accepted a v1 file";
+    } catch (const trace::Error &e) {
+        expectVersionOneError(e);
+    }
 }
 
 // --------------------------------------------------------------------
@@ -425,6 +437,57 @@ TEST(TraceV2Test, CorruptionFailsChecksumWithOffset)
                 r.next(d);
         },
         trace::Error);
+}
+
+// Crafted headers: sizes read from the file are bounded by the file
+// before anything is allocated, so they fail typed instead of aborting.
+
+TEST(TraceV2Test, HugeBlockCountIsATypedError)
+{
+    const std::string path = tmpPath("huge_blocks.emct");
+    {
+        trace::Writer w(path, {}, true, 16);
+        for (const DynUop &d : genUops("bfs", 100, 3))
+            w.append(d);
+        w.close();
+    }
+    patchLe(path, 24, 1ull << 60, 8);  // block_count
+    try {
+        trace::Reader r(path);
+        FAIL() << "no error";
+    } catch (const trace::Error &e) {
+        EXPECT_NE(std::string(e.what()).find("overruns the file"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_EQ(e.offset(), 24u) << e.what();
+    }
+    EXPECT_THROW(trace::verifyFile(path), trace::Error);
+}
+
+TEST(TraceV2Test, HugeBlockPayloadIsATypedError)
+{
+    const std::string path = tmpPath("huge_payload.emct");
+    {
+        trace::Writer w(path, {}, true, 16);
+        for (const DynUop &d : genUops("bfs", 100, 3))
+            w.append(d);
+        w.close();
+    }
+    // The first block starts right after the header; its u32
+    // stored_bytes sits 8 bytes in.
+    const std::uint64_t first_block = trace::probeFile(path).header_bytes;
+    patchLe(path, static_cast<long>(first_block + 8), 0xfffffff0u, 4);
+    trace::Reader r(path);
+    DynUop d;
+    try {
+        r.next(d);
+        FAIL() << "no error";
+    } catch (const trace::Error &e) {
+        EXPECT_NE(std::string(e.what()).find("overruns the file"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_EQ(e.offset(), first_block + 8) << e.what();
+    }
 }
 
 // --------------------------------------------------------------------

@@ -21,8 +21,8 @@ emclint checks them statically:
 
 Run it as `python3 tools/emclint [paths...]`; see `--help` for output
 formats (text / json / sarif), baseline handling and frontend
-selection.  `tools/lint_sim.py` remains the regex fallback for
-environments without Python ≥3.8.
+selection.  It is the repo's only custom linter: the token frontend
+keeps it dependency-free wherever a stock python3 runs.
 """
 
 __version__ = "1.0"

@@ -3,8 +3,7 @@
 Two comment syntaxes, both requiring a parenthesised reason:
 
     // lint-ok: <rule> (<reason>)     suppress a finding on this or the
-                                      next line (same contract as
-                                      tools/lint_sim.py)
+                                      next line
     // ckpt-skip: (<reason>)          declare a data member as
                                       intentionally absent from ser()
                                       (ckpt-coverage rule)

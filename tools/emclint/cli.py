@@ -5,8 +5,7 @@
     python3 tools/emclint -p build --frontend clang --format sarif \
             --output emclint.sarif src
 
-Exit status: 0 clean, 1 findings, 2 usage/environment error — the
-same contract as tools/lint_sim.py, so CI can swap one for the other.
+Exit status: 0 clean, 1 findings, 2 usage/environment error.
 """
 
 from __future__ import annotations

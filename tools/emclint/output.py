@@ -1,4 +1,4 @@
-"""Finding writers: text (lint_sim-compatible), JSON, SARIF 2.1.0.
+"""Finding writers: text (`path:line: [rule] message`), JSON, SARIF 2.1.0.
 
 SARIF is what CI uploads for inline PR annotations
 (github/codeql-action/upload-sarif); the rule catalog rides along in

@@ -1,8 +1,8 @@
 """Determinism rules: rng, unordered-iter, raw-new, event-push,
 process-spawn.
 
-These are the AST ports of the corresponding tools/lint_sim.py regex
-rules.  The semantic model removes the classic regex blind spots: a
+The rules work on the semantic model, not on regexes, which removes
+the classic regex blind spots: a
 `system()` *method* on some object no longer trips process-spawn, a
 range-for over a *sorted copy* of an unordered container's keys is
 clean, and `auto`/typedef'd unordered containers are resolved to their
@@ -113,8 +113,8 @@ class UnorderedIterRule(Rule):
                 m = ci.member(name)
                 if m is not None:
                     return m.type_text
-        # Repo-wide member fallback (mirrors lint_sim's global pass —
-        # catches iteration over another object's exposed member).
+        # Repo-wide member fallback: catches iteration over another
+        # object's exposed member.
         return program.member_types.get(name)
 
 

@@ -81,18 +81,16 @@ class TraceHookRule(Rule):
 
 
 #: The only code allowed to touch trace-container bytes directly.
-_RAW_IO_EXEMPT = ("src/trace/", "src/isa/trace_io")
+_RAW_IO_EXEMPT = ("src/trace/",)
 
 
 @register
 class TraceRawIoRule(Rule):
     name = "trace-raw-io"
     description = ("Trace-container bytes are parsed only by "
-                   "src/trace/ (and the legacy v1 reader in "
-                   "src/isa/trace_io): everything else goes through "
-                   "trace::openTraceFile / probeFile, so version "
-                   "checks, checksums and typed errors cannot be "
-                   "bypassed.")
+                   "src/trace/: everything else goes through "
+                   "trace::Reader / probeFile, so version checks, "
+                   "checksums and typed errors cannot be bypassed.")
 
     def check_tu(self, tu: TranslationUnit,
                  program: Program) -> List[Finding]:
@@ -107,7 +105,7 @@ class TraceRawIoRule(Rule):
                     out.append(Finding(
                         tu.path, call.line, self.name,
                         "fopen() of a trace container; open traces "
-                        "via trace::openTraceFile / probeFile "
+                        "via trace::Reader / probeFile "
                         "(src/trace/reader.hh)"))
                 elif call.callee in ("fread", "fwrite") \
                         and "DynUop" in call.arg_text:

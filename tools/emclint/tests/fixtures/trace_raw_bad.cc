@@ -1,6 +1,6 @@
 // Fixture: trace-raw-io — trace-container bytes are parsed only by
-// src/trace/ (plus the legacy v1 reader); everything else must go
-// through trace::openTraceFile / probeFile.
+// src/trace/; everything else must go through trace::Reader /
+// probeFile.
 
 namespace fx
 {

@@ -162,7 +162,7 @@ class TokenFrontendRegressionTest(unittest.TestCase):
 
 
 class CliContractTest(unittest.TestCase):
-    """Exit codes and report formats (same contract as lint_sim.py)."""
+    """Exit codes and report formats."""
 
     def _run(self, argv):
         out, err = io.StringIO(), io.StringIO()

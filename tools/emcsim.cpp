@@ -81,8 +81,6 @@ usage()
         " PREFIX.coreN.emct\n"
         "  --trace-in f1,f2,...   replay v2 trace containers; workload\n"
         "                         names come from their headers\n"
-        "  --replay f1,f2,...     replay uop-stream files (legacy v1\n"
-        "                         path; needs an explicit --workload)\n"
         "  --warmup N             warmup uops (default uops/2)\n"
         "  --seed N               RNG seed\n"
         "\n"
@@ -206,7 +204,6 @@ main(int argc, char **argv)
     bool fastwarm_validate = false;
     std::uint64_t sample_period = 0;
     std::uint64_t sample_detail = 0;
-    bool trace_in = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -333,11 +330,8 @@ main(int argc, char **argv)
             stat_prefixes = splitCommas(need("--stats"));
         } else if (a == "--capture") {
             cfg.capture_prefix = need("--capture");
-        } else if (a == "--replay") {
-            cfg.trace_files = splitCommas(need("--replay"));
         } else if (a == "--trace-in") {
             cfg.trace_files = splitCommas(need("--trace-in"));
-            trace_in = true;
         } else if (a == "--save-ckpt") {
             save_ckpt = need("--save-ckpt");
         } else if (a == "--restore-ckpt") {
@@ -384,7 +378,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (trace_in) {
+    if (!cfg.trace_files.empty()) {
         // Workload names come from the container headers, recorded at
         // capture time — never guessed.
         if (!workload.empty()) {
@@ -396,13 +390,12 @@ main(int argc, char **argv)
         for (const auto &path : cfg.trace_files) {
             try {
                 const trace::Info info = trace::probeFile(path);
-                if (info.version < 2
-                    || info.provenance.workload.empty()) {
+                if (info.provenance.workload.empty()) {
                     std::fprintf(stderr,
-                                 "%s: v%u trace carries no workload"
-                                 " provenance; replay it with --replay"
-                                 " and an explicit --workload\n",
-                                 path.c_str(), info.version);
+                                 "%s: trace carries no workload"
+                                 " provenance; re-record it with"
+                                 " emctracegen or --capture\n",
+                                 path.c_str());
                     return 2;
                 }
                 workload.push_back(info.provenance.workload);
@@ -411,15 +404,6 @@ main(int argc, char **argv)
                 return 1;
             }
         }
-    } else if (workload.empty() && !cfg.trace_files.empty()) {
-        // The v1 dump has no provenance and nothing here guesses:
-        // replayed runs used to be silently labeled "mcf".
-        std::fprintf(stderr,
-                     "--replay needs --workload (one name per file) —"
-                     " v1 traces carry no workload provenance;"
-                     " re-record with emctracegen or --capture for"
-                     " self-describing v2 traces\n");
-        return 2;
     }
     if (workload.empty()) {
         usage();

@@ -119,11 +119,6 @@ cmdInfo(const std::string &path)
                 info.file_bytes);
     std::printf("version     %u\n", info.version);
     std::printf("uops        %" PRIu64 "\n", info.uop_count);
-    if (info.version < 2) {
-        std::printf("provenance  none (v1 dump; fixed 46-byte"
-                    " records)\n");
-        return 0;
-    }
     std::printf("blocks      %" PRIu64 " (%u uops/block%s)\n",
                 info.block_count, info.block_uops,
                 (info.flags & trace::kFlagDeflate) ? ", deflate" : "");
