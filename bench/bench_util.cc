@@ -5,12 +5,16 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
-#include <functional>
+#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
+#include <unordered_map>
 
+#include "ckpt/ckpt.hh"
 #include "common/thread_pool.hh"
 #include "workload/profile.hh"
 
@@ -22,8 +26,8 @@ namespace
 
 /**
  * Apply the EMC_TRACE / EMC_TRACE_INTERVAL env overrides (DESIGN.md
- * §6) to one run's config. Bench binaries launch many Systems — some
- * concurrently via runMany() — so each traced run gets a distinct
+ * §6) to one run's config. The engine launches many Systems, some
+ * concurrently, so each traced run gets a distinct
  * "<EMC_TRACE>.runK.json" path from a process-wide counter.
  */
 void
@@ -82,135 +86,73 @@ writeStatsFile(const std::string &path, const StatDump &d)
         throw std::runtime_error("cannot rename " + tmp);
 }
 
-bool
-fileExists(const std::string &path)
+/** Warm images of one runJobs() call, built once per warm config. */
+struct WarmImage
 {
-    return std::ifstream(path).good();
-}
+    std::once_flag once;
+    std::vector<std::uint8_t> bytes;
+};
 
-/** Non-empty env var, or nullptr. */
-const char *
-envOr(const char *name)
+using WarmImages = std::map<std::uint64_t, WarmImage>;
+
+std::uint64_t
+warmKey(const RunJob &job)
 {
-    const char *v = std::getenv(name);
-    return (v && *v) ? v : nullptr;
+    return ckpt::fullConfigHash(*job.warm, job.benchmarks);
 }
 
 /**
- * One runMany() job, honoring the crash-resume protocol: load the
- * job's .stats sidecar if a previous sweep already finished it,
- * otherwise restore its autosaved checkpoint (if any), run with
- * periodic autosave to "<EMC_CKPT_DIR>/jobN.ckpt", and leave the
- * sidecar behind for the next rerun.
+ * One distinct job under the crash-resume protocol (runJobs()): reuse
+ * its .stats sidecar, else restore its autosave or its warm image, run
+ * with autosave, and leave the sidecar for the next rerun.
  */
-StatDump
-runJob(const RunJob &job, std::size_t index)
+RunResult
+runJob(const RunJob &job, WarmImages &images)
 {
-    const char *dir = envOr("EMC_CKPT_DIR");
-    if (!dir)
-        return run(job.cfg, job.benchmarks);
-
     SystemConfig cfg = job.cfg;
-    applyTraceEnv(cfg);
+    if (job.warm)
+        cfg.warmup_uops = 0;
+    else
+        applyTraceEnv(cfg);
+    const bool records =
+        cfg.record_emc_miss_lines || cfg.record_prefetch_lines;
+    const char *dir = records ? nullptr : std::getenv("EMC_CKPT_DIR");
+    if (dir && !*dir)
+        dir = nullptr;
 
-    const std::string base =
-        std::string(dir) + "/job" + std::to_string(index);
-    StatDump cached;
-    if (loadStatsFile(base + ".stats", cached))
-        return cached;
-
-    Cycle interval = 1000000;
-    if (const char *iv = std::getenv("EMC_CKPT_INTERVAL"))
-        interval = std::strtoull(iv, nullptr, 10);
-
-    System sys(cfg, job.benchmarks);
-    const std::string ckpt = base + ".ckpt";
-    if (fileExists(ckpt))
-        sys.restoreCheckpoint(ckpt);
-    sys.setAutosave(ckpt, interval);
-    sys.run();
-    StatDump d = sys.dump();
-    writeStatsFile(base + ".stats", d);
-    return d;
-}
-
-/**
- * One runManySampled() job with sidecar-granular resume: a finished
- * job's "<EMC_CKPT_DIR>/jobN.sampled.stats" is reloaded instead of
- * re-simulating; an *interrupted* sampled job restarts from scratch
- * (the fastwarm phase has no mid-run checkpoint), so resume here is
- * job-granular, not cycle-granular.
- */
-StatDump
-runSampledJob(const RunJob &job, const SampleParams &p,
-              std::size_t index)
-{
-    std::string sidecar;
-    if (const char *dir = envOr("EMC_CKPT_DIR")) {
-        sidecar = std::string(dir) + "/job" + std::to_string(index)
-                  + ".sampled.stats";
-        StatDump cached;
-        if (loadStatsFile(sidecar, cached))
+    std::string base;
+    if (dir) {
+        char key[17];
+        std::snprintf(key, sizeof key, "%016llx",
+                      static_cast<unsigned long long>(jobKey(job)));
+        base = std::string(dir) + "/" + key;
+        RunResult cached;
+        if (loadStatsFile(base + ".stats", cached.stats))
             return cached;
     }
-    System sys(job.cfg, job.benchmarks);
-    sys.runSampled(p);
-    StatDump d = sys.dump();
-    if (!sidecar.empty())
-        writeStatsFile(sidecar, d);
-    return d;
-}
 
-/**
- * The sweep engine behind every runMany*() entry point: run job(i)
- * for each i in [0, n) on benchThreads() pool workers, result i in
- * slot i whatever order the jobs finish in. A job that throws leaves
- * its slot default-constructed and does not stop the others. The
- * failures, sorted by job index, go to @p failures; when that is
- * null, each is printed to stderr and, after every job has finished,
- * one std::runtime_error names the count and the first failed job.
- */
-std::vector<StatDump>
-runPool(const char *who, std::size_t n,
-        const std::function<StatDump(std::size_t)> &job,
-        std::vector<RunFailure> *failures = nullptr)
-{
-    std::vector<StatDump> results(n);
-    std::vector<RunFailure> failed;
-    std::mutex mu;
-    ThreadPool pool(benchThreads());
-    for (std::size_t i = 0; i < n; ++i) {
-        pool.submit([&, i] {
-            try {
-                results[i] = job(i);
-            } catch (const std::exception &e) {
-                std::lock_guard<std::mutex> lock(mu);
-                failed.push_back({i, e.what()});
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(mu);
-                failed.push_back({i, "unknown exception"});
-            }
+    System sys(cfg, job.benchmarks);
+    if (dir && std::filesystem::exists(base + ".ckpt")) {
+        sys.restoreCheckpoint(base + ".ckpt");
+    } else if (job.warm) {
+        WarmImage &img = images.at(warmKey(job));
+        std::call_once(img.once, [&] {
+            img.bytes =
+                System(*job.warm, job.benchmarks).warmupCheckpointBytes();
         });
+        sys.restoreCheckpointBytes(img.bytes);
     }
-    pool.waitAll();
-    std::sort(failed.begin(), failed.end(),
-              [](const RunFailure &a, const RunFailure &b) {
-                  return a.index < b.index;
-              });
-    if (failures) {
-        *failures = std::move(failed);
-    } else if (!failed.empty()) {
-        for (const RunFailure &f : failed) {
-            std::fprintf(stderr, "%s: job %zu failed: %s\n", who,
-                         f.index, f.what.c_str());
-        }
-        throw std::runtime_error(
-            std::string(who) + ": " + std::to_string(failed.size())
-            + " of " + std::to_string(n) + " jobs failed (job "
-            + std::to_string(failed.front().index) + ": "
-            + failed.front().what + ")");
+    if (dir) {
+        Cycle interval = 1000000;
+        if (const char *iv = std::getenv("EMC_CKPT_INTERVAL"))
+            interval = std::strtoull(iv, nullptr, 10);
+        sys.setAutosave(base + ".ckpt", interval);
     }
-    return results;
+    sys.run();
+    RunResult r{sys.dump(), sys.emcMissLines(), sys.prefetchLines()};
+    if (dir)
+        writeStatsFile(base + ".stats", r.stats);
+    return r;
 }
 
 } // namespace
@@ -257,10 +199,7 @@ run(const SystemConfig &cfg, const std::vector<std::string> &benchmarks)
 unsigned
 benchThreads()
 {
-    // An explicit EMC_BENCH_THREADS always wins. Otherwise fall back
-    // to inline (single-thread) execution on machines with <= 2
-    // hardware threads — pool overhead and memory pressure outweigh
-    // any overlap there, and a 1-thread ThreadPool runs jobs inline.
+    // A 1-thread ThreadPool runs jobs inline (see the header).
     if (std::getenv("EMC_BENCH_THREADS") != nullptr)
         return ThreadPool::defaultThreads();
     if (std::thread::hardware_concurrency() <= 2)
@@ -268,45 +207,96 @@ benchThreads()
     return ThreadPool::defaultThreads();
 }
 
+std::uint64_t
+jobKey(const RunJob &job)
+{
+    static_assert(std::is_trivially_copyable_v<EnergyParams>);
+    std::uint64_t h[2] = {0, 0};
+    if (job.warm) {
+        SystemConfig cfg = job.cfg;
+        cfg.warmup_uops = 0;  // a warm-shared job never runs its own
+        h[0] = ckpt::fullConfigHash(cfg, job.benchmarks);
+        h[1] = warmKey(job);
+    } else {
+        h[0] = ckpt::fullConfigHash(job.cfg, job.benchmarks);
+    }
+    return ckpt::fnv1a(
+        reinterpret_cast<const std::uint8_t *>(&job.cfg.energy),
+        sizeof job.cfg.energy,
+        ckpt::fnv1a(reinterpret_cast<const std::uint8_t *>(h), sizeof h));
+}
+
+std::vector<RunResult>
+runJobs(const std::vector<RunJob> &jobs,
+        std::vector<RunFailure> *failures)
+{
+    // Plan: the first job with each key is the one that runs; slot[i]
+    // is the distinct run job i reads its result from.
+    std::vector<const RunJob *> distinct;
+    std::vector<std::size_t> slot(jobs.size());
+    std::unordered_map<std::uint64_t, std::size_t> by_key;
+    WarmImages images;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const auto [it, fresh] =
+            by_key.try_emplace(jobKey(jobs[i]), distinct.size());
+        if (fresh) {
+            distinct.push_back(&jobs[i]);
+            if (jobs[i].warm)
+                images.try_emplace(warmKey(jobs[i]));
+        }
+        slot[i] = it->second;
+    }
+
+    std::vector<RunResult> ran(distinct.size());
+    std::vector<std::optional<std::string>> error(distinct.size());
+    {
+        ThreadPool pool(benchThreads());
+        for (std::size_t d = 0; d < distinct.size(); ++d) {
+            pool.submit([&, d] {
+                try {
+                    ran[d] = runJob(*distinct[d], images);
+                } catch (const std::exception &e) {
+                    error[d] = e.what();
+                } catch (...) {
+                    error[d] = "unknown exception";
+                }
+            });
+        }
+        pool.waitAll();
+    }
+
+    std::vector<RunResult> results(jobs.size());
+    std::vector<RunFailure> fails;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (error[slot[i]])
+            fails.push_back({i, *error[slot[i]]});
+        else
+            results[i] = ran[slot[i]];
+    }
+    if (failures) {
+        *failures = std::move(fails);
+    } else if (!fails.empty()) {
+        for (const RunFailure &f : fails) {
+            std::fprintf(stderr, "runMany: job %zu failed: %s\n",
+                         f.index, f.what.c_str());
+        }
+        throw std::runtime_error(
+            "runMany: " + std::to_string(fails.size()) + " of "
+            + std::to_string(jobs.size()) + " jobs failed (job "
+            + std::to_string(fails.front().index) + ": "
+            + fails.front().what + ")");
+    }
+    return results;
+}
+
 std::vector<StatDump>
 runMany(const std::vector<RunJob> &jobs,
         std::vector<RunFailure> *failures)
 {
-    return runPool(
-        "runMany", jobs.size(),
-        [&jobs](std::size_t i) { return runJob(jobs[i], i); }, failures);
-}
-
-std::vector<StatDump>
-runMany(const std::vector<RunJob> &jobs)
-{
-    return runMany(jobs, nullptr);
-}
-
-std::vector<StatDump>
-runManySampled(const std::vector<RunJob> &jobs, const SampleParams &p)
-{
-    return runPool("runManySampled", jobs.size(),
-                   [&jobs, &p](std::size_t i) {
-                       return runSampledJob(jobs[i], p, i);
-                   });
-}
-
-std::vector<StatDump>
-runManyWarmShared(const SystemConfig &warm_cfg,
-                  const std::vector<std::string> &benchmarks,
-                  const std::vector<SystemConfig> &cfgs)
-{
-    const std::vector<std::uint8_t> warm =
-        System(warm_cfg, benchmarks).warmupCheckpointBytes();
-    return runPool("runManyWarmShared", cfgs.size(), [&](std::size_t i) {
-        SystemConfig cfg = cfgs[i];
-        cfg.warmup_uops = 0;
-        System sys(cfg, benchmarks);
-        sys.restoreCheckpointBytes(warm);
-        sys.run();
-        return sys.dump();
-    });
+    std::vector<StatDump> stats;
+    for (RunResult &r : runJobs(jobs, failures))
+        stats.push_back(std::move(r.stats));
+    return stats;
 }
 
 double
@@ -324,22 +314,24 @@ relPerf(const StatDump &d, const StatDump &base, unsigned cores)
 }
 
 void
-banner(const std::string &item, const std::string &what,
+banner(std::FILE *out, const std::string &item, const std::string &what,
        const std::string &paper_says)
 {
-    std::printf("================================================================\n");
-    std::printf("%s — %s\n", item.c_str(), what.c_str());
+    const char *rule =
+        "================================================================\n";
+    std::fputs(rule, out);
+    std::fprintf(out, "%s — %s\n", item.c_str(), what.c_str());
     if (!paper_says.empty())
-        std::printf("paper: %s\n", paper_says.c_str());
-    std::printf("uops/core: %llu (set EMC_SIM_UOPS to lengthen)\n",
-                static_cast<unsigned long long>(defaultUops()));
-    std::printf("================================================================\n");
+        std::fprintf(out, "paper: %s\n", paper_says.c_str());
+    std::fprintf(out, "uops/core: %llu (set EMC_SIM_UOPS to lengthen)\n",
+                 static_cast<unsigned long long>(defaultUops()));
+    std::fputs(rule, out);
 }
 
 void
-note(const std::string &text)
+note(std::FILE *out, const std::string &text)
 {
-    std::printf("%s\n", text.c_str());
+    std::fprintf(out, "%s\n", text.c_str());
 }
 
 std::vector<std::string>
@@ -349,7 +341,8 @@ homo(const std::string &name)
 }
 
 void
-barChart(const std::vector<std::pair<std::string, double>> &rows,
+barChart(std::FILE *out,
+         const std::vector<std::pair<std::string, double>> &rows,
          const std::string &unit, unsigned width)
 {
     double max = 0;
@@ -360,16 +353,16 @@ barChart(const std::vector<std::pair<std::string, double>> &rows,
     for (const auto &[label, v] : rows) {
         const unsigned n = static_cast<unsigned>(
             width * (v / max) + 0.5);
-        std::printf("  %-14s |", label.c_str());
+        std::fprintf(out, "  %-14s |", label.c_str());
         for (unsigned i = 0; i < n; ++i)
-            std::printf("#");
-        std::printf("%*s %.2f%s\n", static_cast<int>(width - n + 1),
+            std::fprintf(out, "#");
+        std::fprintf(out, "%*s %.2f%s\n", static_cast<int>(width - n + 1),
                     "", v, unit.c_str());
     }
 }
 
 void
-groupedChart(const std::vector<std::string> &series,
+groupedChart(std::FILE *out, const std::vector<std::string> &series,
              const std::vector<std::pair<std::string,
                                          std::vector<double>>> &rows,
              unsigned width)
@@ -382,32 +375,23 @@ groupedChart(const std::vector<std::string> &series,
     }
     if (max <= 0)
         max = 1;
-    std::printf("  legend:");
+    std::fprintf(out, "  legend:");
     for (std::size_t s = 0; s < series.size(); ++s)
-        std::printf("  %c %s", glyphs[s % sizeof(glyphs)],
+        std::fprintf(out, "  %c %s", glyphs[s % sizeof(glyphs)],
                     series[s].c_str());
-    std::printf("\n");
+    std::fprintf(out, "\n");
     for (const auto &[label, vs] : rows) {
         for (std::size_t s = 0; s < vs.size(); ++s) {
             const unsigned n = static_cast<unsigned>(
                 width * (vs[s] / max) + 0.5);
-            std::printf("  %-8s %c |", s == 0 ? label.c_str() : "",
+            std::fprintf(out, "  %-8s %c |", s == 0 ? label.c_str() : "",
                         glyphs[s % sizeof(glyphs)]);
             for (unsigned i = 0; i < n; ++i)
-                std::printf("%c", glyphs[s % sizeof(glyphs)]);
-            std::printf("%*s %.3f\n", static_cast<int>(width - n + 1),
+                std::fprintf(out, "%c", glyphs[s % sizeof(glyphs)]);
+            std::fprintf(out, "%*s %.3f\n", static_cast<int>(width - n + 1),
                         "", vs[s]);
         }
     }
-}
-
-std::vector<std::string>
-eightCoreMix(std::size_t h_index)
-{
-    const auto &mix = quadWorkloads().at(h_index);
-    std::vector<std::string> out = mix;
-    out.insert(out.end(), mix.begin(), mix.end());
-    return out;
 }
 
 } // namespace emc::bench

@@ -9,7 +9,7 @@
  * and the save / restore wall costs and image size are recorded.
  *
  * Part 2 measures the warm-once-fork-many win: N ablation-style
- * config points run once through runManyWarmShared() and once in a
+ * config points run once as warm-shared runMany() jobs and once in a
  * loop that builds each point its own warm image, both on one thread
  * so the wall-clock difference is the redundant warmup work and not
  * scheduling luck. Both modes must produce identical stats.
@@ -145,10 +145,12 @@ main(int argc, char **argv)
     std::printf("shared-warmup sweep (%zu config points, 1 thread)\n",
                 cfgs.size());
     setenv("EMC_BENCH_THREADS", "1", 1);
+    std::vector<RunJob> jobs;
+    for (const SystemConfig &c : cfgs)
+        jobs.push_back({c, mix, warm_cfg});
 
     const auto s0 = std::chrono::steady_clock::now();
-    const std::vector<StatDump> shared =
-        runManyWarmShared(warm_cfg, mix, cfgs);
+    const std::vector<StatDump> shared = runMany(jobs);
     const auto s1 = std::chrono::steady_clock::now();
 
     unsetenv("EMC_BENCH_THREADS");

@@ -1,20 +1,13 @@
 #!/bin/bash
-# Regenerate every paper table/figure into results/ (one file per bench).
+# Regenerate every paper table/figure into results/ (one file per
+# figure, each distinct simulation run once; DESIGN.md §9), the JSON
+# artifacts BENCH_diversity.json and BENCH_offchip.json at the repo
+# root, and the micro_primitives host-time table. The campaign's job
+# counts and wall-clock go to results/campaign.log.
+set -euo pipefail
 cd "$(dirname "$0")"
 mkdir -p results
-: > results/campaign.log
-for b in build/bench/*; do
-    [ -x "$b" ] || continue
-    name=$(basename "$b")
-    case "$name" in
-        micro_primitives)
-            echo "[$(date +%H:%M:%S)] $name" >> results/campaign.log
-            "$b" --benchmark_min_time=0.2 > "results/$name.txt" 2>&1
-            ;;
-        *)
-            echo "[$(date +%H:%M:%S)] $name" >> results/campaign.log
-            "$b" > "results/$name.txt" 2>&1
-            ;;
-    esac
-done
-echo "[$(date +%H:%M:%S)] CAMPAIGN DONE" >> results/campaign.log
+build/bench/figures --out results 2> results/campaign.log
+mv results/BENCH_diversity.json results/BENCH_offchip.json .
+build/bench/micro_primitives --benchmark_min_time=0.2 \
+    > results/micro_primitives.txt 2>&1

@@ -84,7 +84,7 @@ struct CoreConfig
     /// chains hold an EMC context through more serialized DRAM trips
     /// and delay the (batched) live-outs; depth 1 reproduces the
     /// paper's reported ~9-uop average chains (Figure 22) and performs
-    /// best (see bench/ablation_emc_params).
+    /// best (see the ablation_emc_params figure).
     unsigned chain_max_indirection = 1;
 };
 

@@ -1774,6 +1774,15 @@ System::dump() const
                   : 0.0);
         d.put(p + "branches", static_cast<double>(cs.branches));
         d.put(p + "mispredicts", static_cast<double>(cs.mispredicts));
+        if (cfg_.core.runahead_enabled) {
+            // Whole-run counters, like the EMC's: runahead keeps going
+            // after the core's measured window closes.
+            const CoreStats &live = cores_[i]->stats();
+            d.put(p + "runahead_prefetches",
+                  static_cast<double>(live.runahead_prefetches));
+            d.put(p + "runahead_dropped_loads",
+                  static_cast<double>(live.runahead_dropped_loads));
+        }
         ws_ipc_sum += ipc;
 
         ev.uops_executed += cs.uops_executed;

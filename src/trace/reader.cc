@@ -230,6 +230,11 @@ Reader::loadBlock(std::size_t block_idx)
     std::vector<std::uint8_t> body(stored_bytes);
     readRaw(body.data(), body.size(), body_at, "block payload");
     if (codec == kCodecDeflate) {
+        // Deflate expands at most ~1032:1, so a larger raw size is a
+        // crafted header asking for an allocation of up to 4 GiB.
+        if (raw_bytes > std::uint64_t{stored_bytes} * 1032 + 64)
+            throw Error("block raw size exceeds deflate's maximum ratio",
+                        e.offset + 4);
         try {
             raw_ = ckpt::inflateBytes(body.data(), body.size(),
                                       raw_bytes);

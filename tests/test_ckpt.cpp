@@ -19,10 +19,10 @@
  *    for image and stat for stat, and the registry keeps only the most
  *    recent System's builds once no System uses them
  *  - config-hash gating, corrupt/truncated images, and refusal paths
- *  - bench harness: per-job failure isolation in runMany(),
- *    runManySampled() and runManyWarmShared(), the shared-vs-per-job
- *    warmup equivalence of runManyWarmShared(), and crash-resume
- *    through EMC_CKPT_DIR autosaves
+ *  - bench harness: per-job failure isolation in runMany() and for
+ *    warm-shared jobs, the shared-vs-per-job warmup equivalence of
+ *    warm-shared jobs, and crash-resume through EMC_CKPT_DIR
+ *    autosaves and sidecars keyed by jobKey()
  */
 
 #include <cstdio>
@@ -367,7 +367,7 @@ TEST(CkptWarmup, ForksIntoDifferingConfigs)
 
     // The image is deterministic: a second warmup run produces the
     // same bytes, which is what makes shared and per-job warmup
-    // equivalent in runManyWarmShared().
+    // equivalent for warm-shared bench jobs.
     EXPECT_EQ(image, System(warm_cfg, mix).warmupCheckpointBytes());
 
     // Fork the one warm image across EMC / prefetcher config points.
@@ -598,28 +598,45 @@ TEST(CkptWorkloadRegistry, KeepsOnlyTheLastSystemsBuilds)
     EXPECT_EQ(Peer::held(mix_b, cfg_b.seed), mix_b.size());
 }
 
+namespace
+{
+
+/** "<dir>/<jobKey in 16 hex digits><ext>": a job's sidecar path. */
+std::string
+sidecar(const std::string &dir, const emc::bench::RunJob &job,
+        const char *ext)
+{
+    char key[17];
+    std::snprintf(key, sizeof key, "%016llx",
+                  static_cast<unsigned long long>(emc::bench::jobKey(job)));
+    return dir + "/" + key + ext;
+}
+
+} // namespace
+
 TEST(BenchHarness, RunManyIsolatesPerJobFailures)
 {
     // Plant a corrupt autosave for job 1: its restore throws, the
     // other jobs must still complete, and the failure must carry the
     // job index and the exception text.
+    SystemConfig cfg;
+    cfg.num_cores = 1;
+    cfg.target_uops = 400;
+    cfg.warmup_uops = 0;
+    std::vector<emc::bench::RunJob> jobs(3, {cfg, {"mcf"}});
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        jobs[i].cfg.seed = cfg.seed + i;
+
     const std::string dir = tmpPath("runmany_fail");
     std::filesystem::create_directories(dir);
     {
         std::FILE *f =
-            std::fopen((dir + "/job1.ckpt").c_str(), "wb");
+            std::fopen(sidecar(dir, jobs[1], ".ckpt").c_str(), "wb");
         ASSERT_NE(f, nullptr);
         std::fputs("this is not a checkpoint", f);
         std::fclose(f);
     }
     setenv("EMC_CKPT_DIR", dir.c_str(), 1);
-
-    SystemConfig cfg;
-    cfg.num_cores = 1;
-    cfg.target_uops = 400;
-    cfg.warmup_uops = 0;
-    const emc::bench::RunJob job{cfg, {"mcf"}};
-    const std::vector<emc::bench::RunJob> jobs(3, job);
 
     std::vector<emc::bench::RunFailure> failures;
     const std::vector<StatDump> res =
@@ -651,14 +668,15 @@ TEST(BenchHarness, CkptDirResumesInterruptedSweeps)
     setenv("EMC_CKPT_INTERVAL", "3000", 1);
 
     // First sweep: autosaves land next to the stats sidecar.
+    const std::string stats = sidecar(dir, jobs[0], ".stats");
     const StatDump first = emc::bench::runMany(jobs).at(0);
     expectIdentical(plain, first, "checkpointed sweep");
-    ASSERT_TRUE(std::filesystem::exists(dir + "/job0.stats"));
-    ASSERT_TRUE(std::filesystem::exists(dir + "/job0.ckpt"));
+    ASSERT_TRUE(std::filesystem::exists(stats));
+    ASSERT_TRUE(std::filesystem::exists(sidecar(dir, jobs[0], ".ckpt")));
 
     // "Crash" after the last autosave: drop the sidecar and rerun —
-    // the job resumes from job0.ckpt and must land on the same stats.
-    std::filesystem::remove(dir + "/job0.stats");
+    // the job resumes from its .ckpt and must land on the same stats.
+    std::filesystem::remove(stats);
     const StatDump resumed = emc::bench::runMany(jobs).at(0);
     expectIdentical(plain, resumed, "resumed sweep");
 
@@ -669,6 +687,42 @@ TEST(BenchHarness, CkptDirResumesInterruptedSweeps)
     unsetenv("EMC_CKPT_DIR");
     unsetenv("EMC_CKPT_INTERVAL");
     std::filesystem::remove_all(dir);
+}
+
+TEST(BenchHarness, CkptDirNeverServesAnotherConfigsSidecar)
+{
+    // Two different sweeps share one EMC_CKPT_DIR. The second must
+    // simulate its own configs, not reload the first sweep's results
+    // for the same job positions.
+    SystemConfig cfg = smallConfig();
+    std::vector<emc::bench::RunJob> first{{cfg, smallMix()}};
+    cfg.emc_enabled = !cfg.emc_enabled;
+    std::vector<emc::bench::RunJob> second{{cfg, smallMix()}};
+    const StatDump fresh = emc::bench::runMany(second).at(0);
+
+    const std::string dir = tmpPath("stale");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    setenv("EMC_CKPT_DIR", dir.c_str(), 1);
+    const StatDump other = emc::bench::runMany(first).at(0);
+    const StatDump reused = emc::bench::runMany(second).at(0);
+    unsetenv("EMC_CKPT_DIR");
+    std::filesystem::remove_all(dir);
+
+    EXPECT_NE(other.get("system.cycles"), fresh.get("system.cycles"));
+    expectIdentical(fresh, reused, "second sweep in a shared dir");
+}
+
+TEST(BenchHarness, JobKeySeparatesWarmSharedAndIgnoresTracing)
+{
+    // (Energy-only differences: Campaign.EnergyOnlyDifferenceIsNotMerged.)
+    const emc::bench::RunJob job{smallConfig(), smallMix()};
+    emc::bench::RunJob warm = job;
+    warm.warm = job.cfg;
+    emc::bench::RunJob traced = job;
+    traced.cfg.trace_path = "ignored.json";  // observation only
+    EXPECT_EQ(emc::bench::jobKey(job), emc::bench::jobKey(traced));
+    EXPECT_NE(emc::bench::jobKey(job), emc::bench::jobKey(warm));
 }
 
 TEST(BenchHarness, SharedWarmupMatchesPerJobWarmup)
@@ -687,8 +741,10 @@ TEST(BenchHarness, SharedWarmupMatchesPerJobWarmup)
         points.push_back(c);
     }
 
-    const std::vector<StatDump> shared =
-        emc::bench::runManyWarmShared(warm_cfg, mix, points);
+    std::vector<emc::bench::RunJob> jobs;
+    for (const SystemConfig &point : points)
+        jobs.push_back({point, mix, warm_cfg});
+    const std::vector<StatDump> shared = emc::bench::runMany(jobs);
     // Per-job warmup by hand: every point restores a warm image of
     // its own, built from warm_cfg just as the shared one is.
     std::vector<StatDump> perjob;
@@ -715,48 +771,25 @@ TEST(BenchHarness, SharedWarmupMatchesPerJobWarmup)
               shared[1].get("system.cycles"));
 }
 
-TEST(BenchHarness, SampledAndWarmSharedNameTheFailedJob)
+TEST(BenchHarness, WarmSharedNamesTheFailedJob)
 {
-    // Job 1 of each sweep throws: its trace file does not exist, or
-    // its seed does not match the shared warm image. The error must
-    // name job 1, and "1 of 3" shows the other two ran to completion.
-    const std::string dir = tmpPath("named_fail");
-    std::filesystem::create_directories(dir);
+    // Job 1 throws: its seed does not match the shared warm image.
+    // The error must name job 1, and "1 of 3" shows the other two ran
+    // to completion.
     SystemConfig cfg;
     cfg.num_cores = 1;
     cfg.target_uops = 800;
     cfg.warmup_uops = 400;
     const std::vector<std::string> mix = {"mcf"};
 
-    std::vector<emc::bench::RunJob> jobs(3, {cfg, mix});
-    jobs[1].cfg.trace_files = {dir + "/missing.emctrace"};
-    emc::SampleParams p;
-    p.period = 400;
-    p.detail = 100;
-    setenv("EMC_CKPT_DIR", dir.c_str(), 1);
+    std::vector<emc::bench::RunJob> jobs(3, {cfg, mix, cfg});
+    jobs[1].cfg.seed = cfg.seed + 1;
     try {
-        emc::bench::runManySampled(jobs, p);
-        ADD_FAILURE() << "runManySampled did not throw";
+        emc::bench::runMany(jobs);
+        ADD_FAILURE() << "runMany did not throw";
     } catch (const std::runtime_error &e) {
         EXPECT_NE(std::string(e.what()).find("1 of 3 jobs failed (job 1:"),
                   std::string::npos)
             << e.what();
     }
-    unsetenv("EMC_CKPT_DIR");
-    // The jobs that did not throw left their finished-job sidecars.
-    EXPECT_TRUE(std::filesystem::exists(dir + "/job0.sampled.stats"));
-    EXPECT_FALSE(std::filesystem::exists(dir + "/job1.sampled.stats"));
-    EXPECT_TRUE(std::filesystem::exists(dir + "/job2.sampled.stats"));
-
-    std::vector<SystemConfig> points(3, cfg);
-    points[1].seed = cfg.seed + 1;
-    try {
-        emc::bench::runManyWarmShared(cfg, mix, points);
-        ADD_FAILURE() << "runManyWarmShared did not throw";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("1 of 3 jobs failed (job 1:"),
-                  std::string::npos)
-            << e.what();
-    }
-    std::filesystem::remove_all(dir);
 }

@@ -11,8 +11,7 @@
  *  - fastwarm checkpoints: byte-identical images run-to-run, and a
  *    restored detailed run is deterministic across two restores
  *  - sampled runs: per-window IPC CIs cover the full-run value on a
- *    deterministic workload, `sampled.*` stats are exported, and
- *    EMC_CKPT_DIR sidecars resume finished jobs bit-exactly
+ *    deterministic workload, and `sampled.*` stats are exported
  *  - compressed checkpoint images roundtrip transparently
  */
 
@@ -254,68 +253,6 @@ TEST(Sampled, DeterministicAcrossRuns)
         dumps[i] = sys.dump();
     }
     expectIdentical(dumps[0], dumps[1], "sampled run");
-}
-
-TEST(Sampled, RunManySampledExportsStats)
-{
-    SystemConfig cfg = fig13Config();
-    cfg.target_uops = 4000;
-    cfg.warmup_uops = 1000;
-    SampleParams p;
-    p.period = 1000;
-    p.detail = 300;
-    const std::vector<emc::bench::RunJob> jobs = {
-        {cfg, fig13Mix()},
-        {cfg, fig13Mix()},
-    };
-    const std::vector<StatDump> dumps =
-        emc::bench::runManySampled(jobs, p);
-    ASSERT_EQ(dumps.size(), 2u);
-    for (const StatDump &d : dumps) {
-        EXPECT_GT(d.get("sampled.windows"), 0.0);
-        EXPECT_GT(d.get("sampled.ipc_mean"), 0.0);
-    }
-    expectIdentical(dumps[0], dumps[1], "identical sampled jobs");
-}
-
-// runManySampled() honors EMC_CKPT_DIR at job granularity: the second
-// invocation reloads the sidecars bit-exactly without re-simulating.
-TEST(Sampled, SidecarResume)
-{
-    SystemConfig cfg;
-    cfg.num_cores = 2;
-    cfg.target_uops = 4000;
-    cfg.warmup_uops = 1000;
-    std::vector<emc::bench::RunJob> jobs(2, {cfg, {"mcf", "sphinx3"}});
-    jobs[1].cfg.emc_enabled = true;
-    SampleParams p;
-    p.period = 1000;
-    p.detail = 250;
-
-    const std::vector<StatDump> fresh =
-        emc::bench::runManySampled(jobs, p);
-
-    const std::string dir = tmpPath("sampled_sidecars");
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    setenv("EMC_CKPT_DIR", dir.c_str(), 1);
-    const std::vector<StatDump> first =
-        emc::bench::runManySampled(jobs, p);
-    ASSERT_TRUE(std::filesystem::exists(dir + "/job0.sampled.stats"));
-    ASSERT_TRUE(std::filesystem::exists(dir + "/job1.sampled.stats"));
-    const std::vector<StatDump> resumed =
-        emc::bench::runManySampled(jobs, p);
-    unsetenv("EMC_CKPT_DIR");
-    std::filesystem::remove_all(dir);
-
-    ASSERT_EQ(fresh.size(), 2u);
-    ASSERT_EQ(first.size(), 2u);
-    ASSERT_EQ(resumed.size(), 2u);
-    for (std::size_t i = 0; i < 2; ++i) {
-        expectIdentical(fresh[i], first[i], "sampled with sidecars");
-        expectIdentical(first[i], resumed[i],
-                        "sampled resumed from sidecars");
-    }
 }
 
 TEST(CkptCompress, RoundtripTransparent)

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/ckpt.hh"
 #include "common/rng.hh"
 #include "mem/functional_memory.hh"
 #include "sim/system.hh"
@@ -487,6 +488,34 @@ TEST(TraceV2Test, HugeBlockPayloadIsATypedError)
                   std::string::npos)
             << e.what();
         EXPECT_EQ(e.offset(), first_block + 8) << e.what();
+    }
+}
+
+TEST(TraceV2Test, HugeDeflatedRawSizeIsATypedError)
+{
+    if (!ckpt::compressionAvailable())
+        GTEST_SKIP() << "built without zlib";
+    const std::string path = tmpPath("huge_raw.emct");
+    {
+        trace::Writer w(path, {}, true, 16);
+        for (const DynUop &d : genUops("bfs", 100, 3))
+            w.append(d);
+        w.close();
+    }
+    // The deflated first block's u32 raw_bytes sits 4 bytes in; ask
+    // for 4 GiB from a payload of a few hundred bytes.
+    const std::uint64_t first_block = trace::probeFile(path).header_bytes;
+    patchLe(path, static_cast<long>(first_block + 4), 0xffffffffu, 4);
+    trace::Reader r(path);
+    DynUop d;
+    try {
+        r.next(d);
+        FAIL() << "no error";
+    } catch (const trace::Error &e) {
+        EXPECT_NE(std::string(e.what()).find("maximum ratio"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_EQ(e.offset(), first_block + 4) << e.what();
     }
 }
 

@@ -8,9 +8,10 @@
  * Builds the cross-product of every --vary axis over a base config,
  * runs one job per point through bench::runMany() on the thread pool
  * (EMC_BENCH_THREADS workers) and prints one row per point. Sweeps
- * compose with the crash-resume machinery: --ckpt-dir gives per-job
- * autosaves, and a re-run of the same command line reloads finished
- * points from their sidecars and resumes interrupted ones.
+ * compose with the crash-resume machinery: --ckpt-dir gives each point
+ * autosaves and a stats sidecar named by its config (bench::jobKey),
+ * so a re-run reloads finished points and resumes interrupted ones,
+ * and a different sweep sharing the directory never reads them.
  *
  * Results are job-indexed and byte-identical at any worker count.
  */
@@ -250,9 +251,8 @@ main(int argc, char **argv)
     while (workload.size() < base.num_cores)
         workload.push_back(workload.back());
 
-    // Cross-product of the axes, first axis slowest — point order (and
-    // therefore job indices) is part of the resume contract, so keep
-    // it a plain odometer.
+    // Cross-product of the axes, first axis slowest: a plain odometer,
+    // so point order (the row order printed below) is stable.
     std::vector<bench::RunJob> jobs;
     std::vector<std::vector<std::string>> assignments;
     std::vector<std::size_t> idx(axes.size(), 0);
