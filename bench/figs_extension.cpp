@@ -23,10 +23,10 @@ namespace
 
 // ---- Ablation over the EMC design choices DESIGN.md calls out
 // (beyond the paper's sensitivity analysis) on the H4 mix: contexts,
-// chain length cap, indirection cap, data cache size, the LLC hit/miss
-// predictor, the direct-to-DRAM bypass and the EMC TLB. Every variant
-// touches only EMC / chain knobs, so all of them fork one warmup image
-// taken under the no-EMC baseline (DESIGN.md §7).
+// chain length cap, indirection cap, data cache size, the
+// direct-to-DRAM bypass (with its LLC hit/miss predictor) and the EMC
+// TLB. Every variant touches only EMC / chain knobs, so all of them
+// fork one warmup image taken under the no-EMC baseline (DESIGN.md §7).
 
 struct Variant
 {
@@ -45,8 +45,6 @@ const Variant kVariants[] = {
      [](SystemConfig &c) { c.core.chain_max_indirection = 3; }},
     {"dcache=1 KB", [](SystemConfig &c) { c.emc.dcache_bytes = 1024; }},
     {"dcache=16 KB", [](SystemConfig &c) { c.emc.dcache_bytes = 16384; }},
-    {"no miss predictor",
-     [](SystemConfig &c) { c.emc.miss_predictor_enabled = false; }},
     {"no direct-DRAM bypass",
      [](SystemConfig &c) { c.emc.direct_dram = false; }},
     {"emc tlb=8 entries", [](SystemConfig &c) { c.emc.tlb_entries = 8; }},
@@ -280,7 +278,8 @@ diversityRender(const Results &res, std::FILE *out, std::FILE *json)
            "dependent-miss acceleration beyond SPEC pointer chasing");
 
     // Profile i's run without the EMC, with it, and the share of its
-    // dependent misses the EMC issued.
+    // dependent misses the EMC issued (DRAM-serviced requests, the
+    // sampled set of DESIGN.md §6).
     const auto &names = irregularNames();
     auto base = [&](std::size_t i) -> const StatDump & {
         return res[2 * i].stats;
@@ -289,8 +288,8 @@ diversityRender(const Results &res, std::FILE *out, std::FILE *json)
         return res[2 * i + 1].stats;
     };
     auto emcShare = [&](std::size_t i) {
-        const double cs = with(i).get("lat.core_samples");
-        const double es = with(i).get("lat.emc_samples");
+        const double cs = with(i).get("phase.core_dep.total_samples");
+        const double es = with(i).get("phase.emc.total_samples");
         return (cs + es) > 0 ? es / (cs + es) : 0;
     };
 
@@ -301,8 +300,8 @@ diversityRender(const Results &res, std::FILE *out, std::FILE *json)
         std::fprintf(out, "%-9s %-7s %7.1f%% %10.1f %10.1f %7.1f%% %8.3f\n",
                      names[i].c_str(), familyOf(names[i]),
                      100 * base(i).get("core0.dep_miss_frac"),
-                     base(i).get("lat.core_total"),
-                     with(i).get("lat.emc_total"), 100 * emcShare(i),
+                     base(i).get("phase.core_dep.total_avg"),
+                     with(i).get("phase.emc.total_avg"), 100 * emcShare(i),
                      relPerf(with(i), base(i), 1));
     }
 
@@ -311,6 +310,8 @@ diversityRender(const Results &res, std::FILE *out, std::FILE *json)
     note(out, "         prior miss (the chains the EMC targets)");
     note(out, "emc(cyc) latency of EMC-issued dependent misses; compare");
     note(out, "         base(cyc), the same misses issued from the core");
+    note(out, "emcshare share of the dependent misses DRAM serviced");
+    note(out, "         that the EMC issued");
     note(out, "");
     note(out, "bypass-predictor view (pred.emc.*, DESIGN.md §13):");
     for (std::size_t i = 0; i < names.size(); ++i) {
@@ -328,8 +329,8 @@ diversityRender(const Results &res, std::FILE *out, std::FILE *json)
     note(out, "every chain bounces back to the core on translation");
     std::vector<std::pair<std::string, std::vector<double>>> chart;
     for (std::size_t i = 0; i < names.size(); ++i) {
-        chart.push_back({names[i], {base(i).get("lat.core_total"),
-                                    with(i).get("lat.emc_total")}});
+        chart.push_back({names[i], {base(i).get("phase.core_dep.total_avg"),
+                                    with(i).get("phase.emc.total_avg")}});
     }
     groupedChart(out, {"core-issued", "emc-issued"}, chart);
 
@@ -346,9 +347,9 @@ diversityRender(const Results &res, std::FILE *out, std::FILE *json)
                      "\"pred_trainings\": %.0f}%s\n",
                      names[i].c_str(), familyOf(names[i]),
                      base(i).get("core0.dep_miss_frac"),
-                     base(i).get("lat.core_total"),
-                     with(i).get("lat.core_total"),
-                     with(i).get("lat.emc_total"), emcShare(i),
+                     base(i).get("phase.core_dep.total_avg"),
+                     with(i).get("phase.core_dep.total_avg"),
+                     with(i).get("phase.emc.total_avg"), emcShare(i),
                      relPerf(with(i), base(i), 1),
                      with(i).get("pred.emc.accuracy"),
                      with(i).get("pred.emc.coverage"),

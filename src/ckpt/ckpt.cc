@@ -148,7 +148,6 @@ hashEmc(HashAcc &a, const EmcConfig &e)
     a.u(e.miss_pred_entries);
     a.u(e.miss_pred_threshold);
     a.u(e.direct_dram);
-    a.u(e.miss_predictor_enabled);
     hashPred(a, e.pred);
 }
 

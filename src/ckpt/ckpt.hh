@@ -62,7 +62,7 @@ struct SystemConfig;
 namespace emc::ckpt
 {
 
-constexpr std::uint32_t kVersion = 4;
+constexpr std::uint32_t kVersion = 5;
 constexpr char kMagic[8] = {'E', 'M', 'C', 'K', 'P', 'T', '1', '\n'};
 /// Outer magic of a deflate-compressed image.
 constexpr char kZMagic[8] = {'E', 'M', 'C', 'K', 'P', 'T', 'Z', '\n'};

@@ -8,6 +8,7 @@
 #ifndef EMC_COMMON_STATS_HH
 #define EMC_COMMON_STATS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -99,23 +100,26 @@ class Histogram
 
     /**
      * Estimate the @p q quantile (q in [0, 1]) from the buckets: the
-     * midpoint of the bucket holding the rank-ceil(q * samples)
-     * sample. Overflow-aware: a rank that lands past the last bucket
-     * reports the largest recorded sample instead of silently
-     * clamping to the histogram range.
+     * midpoint of the bucket holding the rank-max(1, floor(q *
+     * samples)) sample, clamped to the largest recorded sample so an
+     * estimate never exceeds every sample. A rank that lands past the
+     * last bucket reports the largest recorded sample instead of
+     * silently clamping to the histogram range.
      */
     double
     percentile(double q) const
     {
         if (samples_ == 0)
             return 0.0;
-        const std::uint64_t want = static_cast<std::uint64_t>(
-            q * static_cast<double>(samples_));
+        const std::uint64_t want = std::max<std::uint64_t>(
+            1, static_cast<std::uint64_t>(
+                   q * static_cast<double>(samples_)));
         std::uint64_t seen = 0;
         for (std::size_t b = 0; b < counts_.size(); ++b) {
             seen += counts_[b];
             if (seen >= want)
-                return (static_cast<double>(b) + 0.5) * width_;
+                return std::min((static_cast<double>(b) + 0.5) * width_,
+                                max_);
         }
         return max_;
     }

@@ -573,7 +573,7 @@ class Core
         std::uint64_t blocker = 0;  // ckpt-skip: (restored entries start active)
         Addr vaddr = kNoAddr;       // ckpt-skip: (set when parking)
 
-        /** Same bytes as a bare seq, so images keep kVersion 4. */
+        /** Same bytes as a bare seq: the image format is unchanged. */
         template <class A>
         void
         ser(A &ar)

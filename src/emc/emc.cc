@@ -290,7 +290,7 @@ Emc::issueUop(unsigned ctx_idx, unsigned uop_idx)
         // predict() mutates nothing but its counters, so the
         // backpressure retry below may simply re-predict next cycle.
         bool predict_miss = false;
-        if (cfg_.miss_predictor_enabled && cfg_.direct_dram) {
+        if (cfg_.direct_dram) {
             emc_assert(c.chain.core < num_cores_,
                        "chain core id out of range");
             pred::PredFeatures f;

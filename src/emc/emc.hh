@@ -47,7 +47,6 @@ struct EmcConfig
     unsigned miss_pred_entries = 1024;
     unsigned miss_pred_threshold = 3;  ///< counter > t => predict miss
     bool direct_dram = true;        ///< bypass LLC on predicted miss
-    bool miss_predictor_enabled = true;
     /// Off-chip prediction engine (DESIGN.md §13). The table knobs
     /// above override pred.table_entries/table_threshold so existing
     /// ablation sweeps keep working unchanged.

@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "common/log.hh"
+
 namespace emc::obs
 {
 
@@ -9,7 +11,7 @@ const char *
 phaseClassName(PhaseClass c)
 {
     switch (c) {
-      case PhaseClass::kCoreIndep: return "core_indep";
+      case PhaseClass::kCore: return "core";
       case PhaseClass::kCoreDep: return "core_dep";
       case PhaseClass::kEmc: return "emc";
     }
@@ -22,6 +24,7 @@ phaseName(std::size_t phase)
     switch (phase) {
       case kPhaseLookup: return "lookup";
       case kPhaseXfer: return "xfer";
+      case kPhaseQueue: return "queue";
       case kPhaseDram: return "dram";
       case kPhaseRet: return "ret";
       case kPhaseTotal: return "total";
@@ -40,32 +43,31 @@ PhaseAccumulator::PhaseAccumulator()
 void
 PhaseAccumulator::sample(PhaseClass cls, const PhaseTimes &t)
 {
+    emc_assert(t.ordered(), "phase endpoints out of order");
+    record(cls, t);
+    if (cls == PhaseClass::kCoreDep)
+        record(PhaseClass::kCore, t);
+}
+
+void
+PhaseAccumulator::record(PhaseClass cls, const PhaseTimes &t)
+{
     auto &per_class = hist_[static_cast<std::size_t>(cls)];
-
-    // A phase counts only when both endpoints were reached and are
-    // ordered; created/retire are always reached, the intermediate
-    // points report 0 when the transaction skipped them (e.g. EMC
-    // requests going straight to DRAM never record llc_miss).
-    auto span = [&](std::size_t phase, Cycle start, bool start_ok,
-                    Cycle end, bool end_ok) {
-        if (start_ok && end_ok && end >= start)
-            per_class[phase].sample(static_cast<double>(end - start));
+    auto span = [&](std::size_t phase, Cycle start, Cycle end) {
+        per_class[phase].sample(static_cast<double>(end - start));
     };
-
-    const bool has_miss = t.llc_miss != 0;
-    const bool has_enq = t.dram_enqueue != 0;
-    const bool has_fill = t.fill != 0;
-    span(kPhaseLookup, t.created, true, t.llc_miss, has_miss);
-    span(kPhaseXfer, t.llc_miss, has_miss, t.dram_enqueue, has_enq);
-    span(kPhaseDram, t.dram_enqueue, has_enq, t.fill, has_fill);
-    span(kPhaseRet, t.fill, has_fill, t.retire, true);
-    span(kPhaseTotal, t.created, true, t.retire, true);
+    span(kPhaseLookup, t.created, t.llc_miss);
+    span(kPhaseXfer, t.llc_miss, t.dram_enqueue);
+    span(kPhaseQueue, t.dram_enqueue, t.dram_issue);
+    span(kPhaseDram, t.dram_issue, t.dram_data);
+    span(kPhaseRet, t.dram_data, t.done);
+    span(kPhaseTotal, t.created, t.done);
 }
 
 void
 PhaseAccumulator::exportTo(StatDump &d) const
 {
-    for (std::size_t c = 0; c < 3; ++c) {
+    for (std::size_t c = 0; c < kNumPhaseClasses; ++c) {
         for (std::size_t p = 0; p < kNumPhases; ++p) {
             const Histogram &h = hist_[c][p];
             if (h.samples() == 0)

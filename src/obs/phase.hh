@@ -1,28 +1,36 @@
 /**
  * @file
- * Derived phase-latency histograms (DESIGN.md §6).
+ * The miss-latency decomposition (DESIGN.md §6): the simulator's one
+ * latency measurement.
  *
- * A PhaseAccumulator decomposes every retired memory transaction into
- * lifecycle phases and histograms each one, split by transaction
- * class:
+ * A sampled request is a demand read (core- or EMC-issued; not a
+ * prefetch, Hermes probe or store) whose own read DRAM serviced.
+ * Requests merged onto another agent's in-flight fill, LLC hits and
+ * EMC data-cache hits are not sampled. Each sampled request is split
+ * into consecutive phases between six endpoints:
  *
- *   lookup  created      -> llc_miss      (core + LLC lookup path)
- *   xfer    llc_miss     -> dram_enqueue  (slice -> MC transfer/queue)
- *   dram    dram_enqueue -> fill          (DRAM queue + service)
- *   ret     fill         -> retire        (fill return + retire)
- *   total   created      -> retire        (end-to-end)
+ *   lookup  created      -> llc_miss      (path to the slice + lookup)
+ *   xfer    llc_miss     -> dram_enqueue  (path to the MC + backpressure)
+ *   queue   dram_enqueue -> dram_issue    (MC queue)
+ *   dram    dram_issue   -> dram_data     (DRAM service)
+ *   ret     dram_data    -> done          (path back to the requester)
+ *   total   created      -> done
  *
- * Classes: core_indep (core-issued, address not tainted by a prior
- * miss), core_dep (core-issued dependent miss), emc (EMC-issued).
- * Prefetches and stores are excluded; a phase is only sampled when
- * both of its endpoints were actually reached (e.g. an EMC request
- * going straight to DRAM has no lookup/xfer phase).
+ * `done` is when the data reaches the requester: the core for core
+ * requests; the issuing EMC for EMC requests, which is the owning MC
+ * itself or the end of the cross-MC reply, never the LLC install. A
+ * request that skips an endpoint (an EMC request sent straight to
+ * DRAM has no LLC lookup) collapses it onto the previous one, so the
+ * skipped phase contributes 0 and, per class, the phase means sum
+ * exactly to the total mean.
  *
- * The accumulator is always on — it derives from transaction
- * timestamps the simulator already tracks — so traced and untraced
- * runs export identical statistics. tools/emctrace `summarize`
- * rebuilds the same histograms from an exported trace; the two agree
- * exactly (asserted in tests/test_trace.cpp).
+ * Classes: core (every core-issued sample), core_dep (its dependent
+ * subset: address tainted by a prior miss) and emc (EMC-issued).
+ *
+ * The accumulator is always on, so traced and untraced runs export
+ * identical statistics. tools/emctrace `summarize` rebuilds the same
+ * histograms from an exported trace; the two agree exactly (asserted
+ * in tests/test_trace.cpp).
  */
 
 #ifndef EMC_OBS_PHASE_HH
@@ -36,22 +44,25 @@
 namespace emc::obs
 {
 
-/** Transaction class a phase sample is attributed to. */
+/** Request class a phase sample is attributed to. */
 enum class PhaseClass : std::uint8_t
 {
-    kCoreIndep,  ///< core-issued, independent (untainted) miss
-    kCoreDep,    ///< core-issued dependent miss
-    kEmc,        ///< EMC-issued
+    kCore,     ///< core-issued (dependent or not)
+    kCoreDep,  ///< core-issued dependent miss (also counted in kCore)
+    kEmc,      ///< EMC-issued
 };
 
-/** Stable stat-key name for a class ("core_indep", ...). */
+constexpr std::size_t kNumPhaseClasses = 3;
+
+/** Stable stat-key name for a class ("core", ...). */
 const char *phaseClassName(PhaseClass c);
 
-/** Lifecycle phases (indices into PhaseAccumulator histograms). */
+/** Latency phases (indices into PhaseAccumulator histograms). */
 enum PhaseIndex : std::size_t
 {
     kPhaseLookup = 0,
     kPhaseXfer,
+    kPhaseQueue,
     kPhaseDram,
     kPhaseRet,
     kPhaseTotal,
@@ -61,15 +72,25 @@ enum PhaseIndex : std::size_t
 /** Stable stat-key name for a phase ("lookup", ...). */
 const char *phaseName(std::size_t phase);
 
-/** Endpoint timestamps of one retired transaction (0 = not reached;
- *  created/retire are always reached). */
+/** Endpoint cycles of one sampled request, non-decreasing in field
+ *  order (a skipped endpoint holds the previous one's cycle). */
 struct PhaseTimes
 {
     Cycle created = 0;
     Cycle llc_miss = 0;
     Cycle dram_enqueue = 0;
-    Cycle fill = 0;
-    Cycle retire = 0;
+    Cycle dram_issue = 0;
+    Cycle dram_data = 0;
+    Cycle done = 0;
+
+    /** True when the endpoints are non-decreasing in field order. */
+    bool
+    ordered() const
+    {
+        return created <= llc_miss && llc_miss <= dram_enqueue
+               && dram_enqueue <= dram_issue && dram_issue <= dram_data
+               && dram_data <= done;
+    }
 };
 
 /** Histogram parameters shared with tools/emctrace summarize. */
@@ -82,7 +103,10 @@ class PhaseAccumulator
   public:
     PhaseAccumulator();
 
-    /** Record one retired transaction (call at retire time). */
+    /**
+     * Record one sampled request (@p t must be ordered()). A kCoreDep
+     * sample also lands in kCore.
+     */
     void sample(PhaseClass cls, const PhaseTimes &t);
 
     /** Export `phase.<class>.<phase>_{avg,p50,p95,p99,samples}`. */
@@ -107,7 +131,9 @@ class PhaseAccumulator
     }
 
   private:
-    Histogram hist_[3][kNumPhases];
+    void record(PhaseClass cls, const PhaseTimes &t);
+
+    Histogram hist_[kNumPhaseClasses][kNumPhases];
 };
 
 } // namespace emc::obs

@@ -19,6 +19,8 @@ tracePointName(TracePoint p)
       case TracePoint::kRetire: return "retire";
       case TracePoint::kLlcEvict: return "llc_evict";
       case TracePoint::kRingMsg: return "ring_msg";
+      case TracePoint::kDramData: return "dram_data";
+      case TracePoint::kEmcData: return "emc_data";
     }
     return "?";
 }
@@ -175,6 +177,8 @@ Tracer::writeEvent(const TraceEvent &ev)
       case TracePoint::kLlcMiss:
       case TracePoint::kDramEnqueue:
       case TracePoint::kFill:
+      case TracePoint::kDramData:
+      case TracePoint::kEmcData:
         emitJson("n", tracePointName(ev.point), "txn", pid, tid,
                  ev.cycle, ev.id, true, ev);
         break;

@@ -4,7 +4,7 @@
  *
  * A Tracer records typed trace points — created, llc_miss,
  * chain_offloaded, emc_issue, dram_enqueue, row_act, fill, retire,
- * llc_evict, ring_msg — into a per-simulation ring buffer and exports
+ * llc_evict, ring_msg, dram_data, emc_data — into a per-simulation ring buffer and exports
  * them as Chrome trace_event JSON (chrome://tracing /
  * ui.perfetto.dev). Each simulated agent gets its own track: one per
  * core, one per EMC plus one per EMC context, one per DRAM bank, and
@@ -47,11 +47,16 @@ enum class TracePoint : std::uint8_t
     kEmcIssue,        ///< EMC context issued a chain memory op
     kDramEnqueue,     ///< request accepted into an MC channel queue
     kRowAct,          ///< DRAM bank row activation (empty or conflict)
-    kFill,            ///< fill data produced (slice install / EMC data)
+    kFill,            ///< fill reached the LLC slice (install / merge)
     kRetire,          ///< transaction retired and left the slab pool
     kLlcEvict,        ///< cache evicted a valid victim line
     kRingMsg,         ///< EMC-related data-ring message delivered
+    kDramData,        ///< DRAM returned the read (arg: its issue cycle)
+    kEmcData,         ///< an EMC request's data reached its EMC
 };
+
+/** Number of TracePoint values. */
+constexpr int kNumTracePoints = 12;
 
 /** Stable lower-case name for a trace point ("llc_miss", ...). */
 const char *tracePointName(TracePoint p);

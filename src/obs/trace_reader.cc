@@ -235,7 +235,9 @@ struct OpenSpan
     Cycle created = 0;
     Cycle llc_miss = 0;
     Cycle dram_enqueue = 0;
-    Cycle fill = 0;
+    Cycle dram_issue = 0;
+    Cycle dram_data = 0;  ///< 0: DRAM never serviced this span's read
+    Cycle emc_data = 0;
     Cycle last = 0;  ///< cycle of the span's latest event
     double pid = 0;
     double tid = 0;
@@ -246,7 +248,7 @@ struct OpenSpan
 int
 pointIndex(const std::string &name)
 {
-    for (int i = 0; i < 10; ++i) {
+    for (int i = 0; i < kNumTracePoints; ++i) {
         if (name == tracePointName(static_cast<TracePoint>(i)))
             return i;
     }
@@ -406,14 +408,21 @@ readTrace(const std::string &path, std::size_t max_issues)
                 ++sum.point_counts[pi];
             // Last occurrence wins, matching the simulator's
             // timestamp fields which hold the final value.
-            if (name == "llc_miss")
+            if (name == "llc_miss") {
                 sp.llc_miss = ts;
-            else if (name == "dram_enqueue")
+            } else if (name == "dram_enqueue") {
                 sp.dram_enqueue = ts;
-            else if (name == "fill")
-                sp.fill = ts;
-            else
+            } else if (name == "dram_data") {
+                const JsonValue *args = ev.find("args");
+                const std::string arg =
+                    args ? args->stringOr("arg", "0") : "0";
+                sp.dram_issue = std::strtoull(arg.c_str(), nullptr, 0);
+                sp.dram_data = ts;
+            } else if (name == "emc_data") {
+                sp.emc_data = ts;
+            } else if (name != "fill") {
                 issue(lineno, "unknown span annotation " + name);
+            }
             continue;
         }
         // ph == "e": the span retires.
@@ -421,25 +430,30 @@ readTrace(const std::string &path, std::size_t max_issues)
         const JsonValue *args = ev.find("args");
         const bool truncated =
             args && args->numberOr("truncated", 0) != 0;
+        const bool emc = sp.flags & kFlagEmc;
         if (truncated) {
             ++sum.counts.truncated;
         } else if (!(sp.flags & (kFlagPrefetch | kFlagStore))
-                   && sp.fill != 0) {
-            // Mirrors System::retireTxn: only demand lifecycles that
-            // reached their fill contribute phase samples.
+                   && sp.dram_data != 0) {
+            // Mirrors System::retireTxn: a demand whose own read DRAM
+            // serviced, ending when its data reached the requester.
             PhaseTimes t;
             t.created = sp.created;
-            t.llc_miss = sp.llc_miss;
+            t.llc_miss = sp.llc_miss ? sp.llc_miss : sp.created;
             t.dram_enqueue = sp.dram_enqueue;
-            t.fill = sp.fill;
-            t.retire = ts;
-            const PhaseClass cls =
-                (sp.flags & kFlagEmc)
-                    ? PhaseClass::kEmc
-                    : ((sp.flags & kFlagDependent)
-                           ? PhaseClass::kCoreDep
-                           : PhaseClass::kCoreIndep);
-            sum.phases.sample(cls, t);
+            t.dram_issue = sp.dram_issue;
+            t.dram_data = sp.dram_data;
+            t.done = emc ? sp.emc_data : ts;
+            if (t.ordered()) {
+                sum.phases.sample(emc ? PhaseClass::kEmc
+                                      : ((sp.flags & kFlagDependent)
+                                             ? PhaseClass::kCoreDep
+                                             : PhaseClass::kCore),
+                                  t);
+            } else {
+                issue(lineno, "span " + id_str
+                                  + " has out-of-order phase endpoints");
+            }
         }
         open.erase(it);
     }

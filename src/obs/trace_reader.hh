@@ -83,7 +83,8 @@ struct TraceCounts
 /**
  * Result of reading a trace: counts, issues, and (optionally) the
  * phase histograms rebuilt from the complete, non-truncated,
- * non-prefetch, non-store lifecycle spans.
+ * non-prefetch, non-store lifecycle spans whose own read DRAM
+ * serviced (a `dram_data` annotation).
  */
 struct TraceSummary
 {
@@ -93,7 +94,7 @@ struct TraceSummary
     std::uint64_t issue_total = 0;     ///< all findings, incl. dropped
     PhaseAccumulator phases;
     /// Per-point event totals, keyed by tracePointName order.
-    std::uint64_t point_counts[10] = {};
+    std::uint64_t point_counts[kNumTracePoints] = {};
 };
 
 /**

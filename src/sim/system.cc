@@ -470,7 +470,9 @@ System::txnFlags(const Txn &txn) const
         f |= obs::kFlagDependent;
     if (txn.is_emc)
         f |= obs::kFlagEmc;
-    if (txn.is_prefetch)
+    // A Hermes probe is speculative like a prefetch: no demand waits
+    // on it, so the trace marks it alike and summaries skip it.
+    if (txn.is_prefetch || txn.is_hermes)
         f |= obs::kFlagPrefetch;
     if (txn.for_store)
         f |= obs::kFlagStore;
@@ -480,25 +482,26 @@ System::txnFlags(const Txn &txn) const
 void
 System::retireTxn(Txn &txn)
 {
-    // Phase attribution (always on; exported as `phase.*`). Only
-    // transactions that produced a DRAM fill count — the same rule
-    // tools/emctrace applies to the trace ("has a fill annotation"),
-    // which is what keeps `emctrace summarize` exact against these
-    // histograms.
+    // Phase attribution (always on; exported as `phase.*`): a demand
+    // whose own read DRAM serviced, up to when its data reached the
+    // requester. tools/emctrace applies the same rule to the trace
+    // (a `dram_data` annotation), which keeps `emctrace summarize`
+    // exact against these histograms.
     if (!txn.is_prefetch && !txn.is_hermes && !txn.for_store
-        && txn.t_fill != kNoCycle) {
+        && txn.t_dram_data != kNoCycle) {
         obs::PhaseTimes t;
         t.created = txn.t_start;
-        t.llc_miss = txn.t_llc_miss == kNoCycle ? 0 : txn.t_llc_miss;
-        t.dram_enqueue =
-            txn.t_mc_enqueue == kNoCycle ? 0 : txn.t_mc_enqueue;
-        t.fill = txn.t_fill;
-        t.retire = now_;
+        t.llc_miss =
+            txn.t_llc_miss == kNoCycle ? txn.t_start : txn.t_llc_miss;
+        t.dram_enqueue = txn.t_mc_enqueue;
+        t.dram_issue = txn.t_dram_issue;
+        t.dram_data = txn.t_dram_data;
+        t.done = txn.t_done;
         const obs::PhaseClass cls =
             (txn.is_emc || txn.emc_llc_fill_only)
                 ? obs::PhaseClass::kEmc
                 : (txn.addr_tainted ? obs::PhaseClass::kCoreDep
-                                    : obs::PhaseClass::kCoreIndep);
+                                    : obs::PhaseClass::kCore);
         phases_.sample(cls, t);
     }
     EMC_OBS_POINT(tracer_.get(), obs::TracePoint::kRetire, now_,
@@ -1013,6 +1016,9 @@ System::handleDramDone(unsigned mc, const MemRequest &req)
     Txn &txn = *tp;
     txn.t_dram_issue = req.cycle_dram_issue;
     txn.t_dram_data = req.cycle_dram_data;
+    EMC_OBS_POINT(tracer_.get(), obs::TracePoint::kDramData,
+                  txn.t_dram_data, txn.id, trackOf(txn),
+                  txn.t_dram_issue);
     if (ck_txns_)
         ck_txns_->onDramDone(*check_, txn.id);
 
@@ -1025,32 +1031,17 @@ System::handleDramDone(unsigned mc, const MemRequest &req)
         ++emc_generated_misses_;
         if (cfg_.record_emc_miss_lines)
             emc_miss_lines_.insert(txn.line);
-        if (txn.t_mc_enqueue != kNoCycle
-            && txn.t_dram_issue != kNoCycle) {
-            lat_queue_emc_.sample(
-                static_cast<double>(txn.t_dram_issue - txn.t_mc_enqueue));
-        }
+        // The EMC at the owning controller has its data the moment
+        // the burst completes; a cross-MC request's data rides the
+        // ring back to the issuing EMC, and the reply retires the txn
+        // if the LLC install below finishes first.
         if (txn.emc_owner == mc) {
-            lat_total_emc_.sample(
-                static_cast<double>(now_ - txn.t_start));
-            hist_lat_emc_.sample(
-                static_cast<double>(now_ - txn.t_start));
-            emcs_[txn.emc_owner]->memResponse(txn.emc_token, true);
+            deliverToEmc(txn, true);
         } else {
-            // Cross-MC: data rides the ring to the issuing EMC.
-            const std::uint64_t id = next_msg_id_++;
-            emc_replies_[id] = {txn.emc_owner, txn.emc_token};
-            // Remember start for latency sampling.
-            emc_reply_start_[id] = txn.t_start;
             routeData(stopOfMc(mc), stopOfMc(txn.emc_owner),
-                      MsgType::kEmcFillReply, id,
+                      MsgType::kEmcFillReply, txn.id,
                       EvType::kEmcDirectReply);
         }
-        // The EMC has its data the moment the burst completes at the
-        // controller.
-        txn.t_fill = now_;
-        EMC_OBS_POINT(tracer_.get(), obs::TracePoint::kFill, now_,
-                      txn.id, trackOf(txn), txn.line);
         // Remaining work for this txn: fill the LLC (inclusive).
         txn.is_emc = false;
         txn.emc_llc_fill_only = true;
@@ -1091,8 +1082,7 @@ System::dispatchMergedFill(std::uint64_t token, unsigned slice)
     }
     if (txn.is_emc) {
         // The merged EMC load completes as the shared fill passes.
-        lat_total_emc_.sample(static_cast<double>(now_ - txn.t_start));
-        emcs_[txn.emc_owner]->memResponse(txn.emc_token, true);
+        deliverToEmc(txn, true);
         retireTxn(txn);
         return;
     }
@@ -1206,7 +1196,10 @@ System::handleFillAtSlice(std::uint64_t token)
         // Mark the EMC directory bit: the EMC data cache holds it.
         if (CacheLineMeta *m = slices_[slice]->peek(txn.line))
             m->emc = true;
-        retireTxn(txn);
+        // A cross-MC reply still on the ring retires the txn when it
+        // reaches the EMC.
+        if (txn.t_done != kNoCycle)
+            retireTxn(txn);
         return;
     }
     if (txn.for_store) {
@@ -1235,7 +1228,6 @@ System::handleFillAtCore(std::uint64_t token)
     if (CacheLineMeta *m = slices_[slice]->peek(txn.line))
         m->presence |= (1u << txn.core);
 
-    finalizeDemand(txn);
     cores_[txn.core]->fillArrived(txn.line, txn.llc_missed);
 
     auto oit = outstanding_demand_lines_.find(txn.line);
@@ -1244,35 +1236,6 @@ System::handleFillAtCore(std::uint64_t token)
             outstanding_demand_lines_.erase(oit);
     }
     retireTxn(txn);
-}
-
-void
-System::finalizeDemand(Txn &txn)
-{
-    if (!txn.llc_missed)
-        return;
-    const double total = static_cast<double>(txn.t_done - txn.t_start);
-    lat_total_core_.sample(total);
-    hist_lat_core_.sample(total);
-
-    if (txn.t_dram_data == kNoCycle || txn.t_dram_issue == kNoCycle)
-        return;
-    const double dram =
-        static_cast<double>(txn.t_dram_data - txn.t_dram_issue);
-    const double after_miss =
-        static_cast<double>(txn.t_done - txn.t_llc_miss);
-    lat_dram_core_.sample(dram);
-    lat_onchip_core_.sample(std::max(0.0, after_miss - dram));
-    if (txn.t_mc_enqueue != kNoCycle) {
-        lat_queue_core_.sample(
-            static_cast<double>(txn.t_dram_issue - txn.t_mc_enqueue));
-        const double to_mc =
-            static_cast<double>(txn.t_mc_enqueue - txn.t_start);
-        lat_ring_core_.sample(
-            std::max(0.0, to_mc - static_cast<double>(cfg_.llc_latency))
-            + static_cast<double>(txn.t_done - txn.t_dram_data));
-        lat_llcpath_core_.sample(static_cast<double>(cfg_.llc_latency));
-    }
 }
 
 void
@@ -1405,25 +1368,29 @@ System::handleEmcQueryReply(std::uint64_t token)
     if (!tp)
         return;
     Txn &txn = *tp;
-    lat_total_emc_.sample(static_cast<double>(now_ - txn.t_start));
-    emcs_[txn.emc_owner]->memResponse(txn.emc_token, false);
+    deliverToEmc(txn, false);
     retireTxn(txn);
 }
 
 void
 System::handleEmcDirectReply(std::uint64_t token)
 {
-    auto it = emc_replies_.find(token);
-    if (it == emc_replies_.end())
+    Txn *tp = txns_.find(token);
+    if (!tp)
         return;
-    const EmcReply reply = it->second;
-    emc_replies_.erase(it);
-    auto sit = emc_reply_start_.find(token);
-    if (sit != emc_reply_start_.end()) {
-        lat_total_emc_.sample(static_cast<double>(now_ - sit->second));
-        emc_reply_start_.erase(sit);
-    }
-    emcs_[reply.owner]->memResponse(reply.emc_token, true);
+    Txn &txn = *tp;
+    deliverToEmc(txn, true);
+    if (txn.t_fill != kNoCycle)
+        retireTxn(txn);  // the LLC install already finished
+}
+
+void
+System::deliverToEmc(Txn &txn, bool was_llc_miss)
+{
+    txn.t_done = now_;
+    EMC_OBS_POINT(tracer_.get(), obs::TracePoint::kEmcData, now_, txn.id,
+                  trackOf(txn), txn.line);
+    emcs_[txn.emc_owner]->memResponse(txn.emc_token, was_llc_miss);
 }
 
 // --------------------------------------------------------------------
@@ -1583,16 +1550,6 @@ System::resetMeasurement()
     control_ring_.resetStats();
     data_ring_.resetStats();
     traffic_ = TrafficStats{};
-    lat_total_core_ = Average{};
-    lat_total_emc_ = Average{};
-    lat_onchip_core_ = Average{};
-    lat_dram_core_ = Average{};
-    lat_queue_core_ = Average{};
-    lat_queue_emc_ = Average{};
-    lat_ring_core_ = Average{};
-    lat_llcpath_core_ = Average{};
-    hist_lat_core_.reset();
-    hist_lat_emc_.reset();
     phases_.reset();
     llc_demand_accesses_ = 0;
     llc_demand_misses_ = 0;
@@ -1817,29 +1774,6 @@ System::dump() const
           static_cast<double>(fdp_.totalPolluted()));
     d.put("prefetch.accuracy", fdp_.accuracy());
 
-    // Miss-latency distribution percentiles (25-cycle buckets).
-    auto percentile = [](const Histogram &h, double q) {
-        const std::uint64_t want = static_cast<std::uint64_t>(
-            q * static_cast<double>(h.samples()));
-        std::uint64_t seen = 0;
-        for (std::size_t b = 0; b < h.buckets(); ++b) {
-            seen += h.bucket(b);
-            if (seen >= want)
-                return (static_cast<double>(b) + 0.5) * h.bucketWidth();
-        }
-        return static_cast<double>(h.buckets()) * h.bucketWidth();
-    };
-    if (hist_lat_core_.samples() > 0) {
-        d.put("lat.core_p50", percentile(hist_lat_core_, 0.50));
-        d.put("lat.core_p90", percentile(hist_lat_core_, 0.90));
-        d.put("lat.core_p99", percentile(hist_lat_core_, 0.99));
-    }
-    if (hist_lat_emc_.samples() > 0) {
-        d.put("lat.emc_p50", percentile(hist_lat_emc_, 0.50));
-        d.put("lat.emc_p90", percentile(hist_lat_emc_, 0.90));
-        d.put("lat.emc_p99", percentile(hist_lat_emc_, 0.99));
-    }
-
     // DRAM aggregates.
     std::uint64_t row_hits = 0, row_empty = 0, row_conf = 0;
     std::uint64_t reads = 0, writes = 0, refreshes = 0;
@@ -1881,22 +1815,13 @@ System::dump() const
     d.put("traffic.hermes", static_cast<double>(traffic_.hermes));
     d.put("traffic.total", static_cast<double>(traffic_.total()));
 
-    // Latency attribution.
-    d.put("lat.core_total", lat_total_core_.mean());
-    d.put("lat.core_onchip", lat_onchip_core_.mean());
-    d.put("lat.core_dram", lat_dram_core_.mean());
-    d.put("lat.core_queue", lat_queue_core_.mean());
-    d.put("lat.core_ring", lat_ring_core_.mean());
-    d.put("lat.core_llcpath", lat_llcpath_core_.mean());
-    d.put("lat.emc_total", lat_total_emc_.mean());
-    d.put("lat.emc_queue", lat_queue_emc_.mean());
-    d.put("lat.emc_samples",
-          static_cast<double>(lat_total_emc_.samples()));
-    d.put("lat.core_samples",
-          static_cast<double>(lat_total_core_.samples()));
-
-    // Phase-latency decomposition (DESIGN.md §6; always on).
+    // Miss-latency decomposition (DESIGN.md §6; always on).
+    // lat.core_total / lat.emc_total are the headline means.
     phases_.exportTo(d);
+    d.put("lat.core_total",
+          phases_.hist(obs::PhaseClass::kCore, obs::kPhaseTotal).mean());
+    d.put("lat.emc_total",
+          phases_.hist(obs::PhaseClass::kEmc, obs::kPhaseTotal).mean());
 
     // EMC aggregates.
     d.put("emc.generated_misses",

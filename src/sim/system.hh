@@ -339,9 +339,9 @@ class System : public CorePort
         Cycle t_llc_miss = kNoCycle;    ///< slice lookup missed
         Cycle t_mc_enqueue = kNoCycle;
         Cycle t_dram_issue = kNoCycle;
-        Cycle t_dram_data = kNoCycle;
-        Cycle t_fill = kNoCycle;        ///< fill data produced
-        Cycle t_done = kNoCycle;
+        Cycle t_dram_data = kNoCycle;   ///< own read returned by DRAM
+        Cycle t_fill = kNoCycle;        ///< fill installed / merged
+        Cycle t_done = kNoCycle;        ///< data reached the requester
 
         template <class A>
         void
@@ -420,21 +420,6 @@ class System : public CorePort
         }
     };
 
-    /** A cross-MC fill reply heading to its issuing EMC. */
-    struct EmcReply
-    {
-        unsigned owner;
-        std::uint64_t emc_token;
-
-        template <class A>
-        void
-        ser(A &ar)
-        {
-            ar.io(owner);
-            ar.io(emc_token);
-        }
-    };
-
     // ---- EmcPort entry points (called through the adapters) ----
     bool emcDirectDram(unsigned from_mc, CoreId core, Addr paddr_line,
                        std::uint64_t token);
@@ -492,11 +477,15 @@ class System : public CorePort
     void insertIntoLlc(Txn &txn);
 
     /**
-     * Retire @p txn: sample its phase latencies (always-on), emit the
-     * kRetire trace point, notify the lifecycle checker, and release
-     * the slab-pool slot. The single exit path for every transaction.
+     * Retire @p txn: sample its phase latencies (always-on) if it is a
+     * demand whose own read DRAM serviced, emit the kRetire trace
+     * point, notify the lifecycle checker, and release the slab-pool
+     * slot. The single exit path for every transaction.
      */
     void retireTxn(Txn &txn);
+
+    /** Hand an EMC request's data to its EMC (stamps t_done). */
+    void deliverToEmc(Txn &txn, bool was_llc_miss);
 
     /** The trace track a transaction's lifecycle events live on. */
     obs::Track trackOf(const Txn &txn) const;
@@ -506,7 +495,6 @@ class System : public CorePort
     void drainPrefetchers();
     void observeAtLlc(Txn &txn, bool hit);
     void finalizeToCore(Txn &txn, unsigned slice);
-    void finalizeDemand(Txn &txn);
     void maybeSnapshotCore(unsigned i);
 
     Cycle sliceReady(unsigned slice);
@@ -563,8 +551,6 @@ class System : public CorePort
     std::unordered_map<std::uint64_t, InFlightChain> chains_in_flight_;
     std::unordered_map<std::uint64_t, InFlightResult> results_in_flight_;
     std::unordered_map<std::uint64_t, LsqMsg> lsq_msgs_;
-    std::unordered_map<std::uint64_t, EmcReply> emc_replies_;
-    std::unordered_map<std::uint64_t, Cycle> emc_reply_start_;
     std::uint64_t next_msg_id_ = 1;
     std::unordered_map<Addr, unsigned> outstanding_demand_lines_;
     /// Cross-agent MSHR at the LLC: line -> txns merged onto the
@@ -614,18 +600,6 @@ class System : public CorePort
     std::vector<bool> snapshotted_;
     std::set<Addr> emc_miss_lines_;
     std::set<Addr> prefetch_lines_;
-
-    // Latency attribution accumulators.
-    Average lat_total_core_;     ///< L1-miss issue -> data at core
-    Average lat_total_emc_;      ///< EMC issue -> data at EMC
-    Average lat_onchip_core_;    ///< Figure 1 on-chip component
-    Average lat_dram_core_;      ///< Figure 1 DRAM component
-    Average lat_queue_core_;     ///< MC queue wait, core requests
-    Average lat_queue_emc_;
-    Average lat_ring_core_;      ///< interconnect portion, core reqs
-    Average lat_llcpath_core_;   ///< LLC lookup + fill-path portion
-    Histogram hist_lat_core_{40, 25.0};  ///< miss-latency distribution
-    Histogram hist_lat_emc_{40, 25.0};
 
     // Runtime invariant checking (null unless enabled). The raw
     // pointers cache the registered checkers so the per-event hooks

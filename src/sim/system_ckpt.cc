@@ -104,16 +104,6 @@ System::ckptPayload(ckpt::Ar &ar, ckpt::Level level,
         ar.io(snapshotted_);
         ar.io(emc_miss_lines_);
         ar.io(prefetch_lines_);
-        ar.io(lat_total_core_);
-        ar.io(lat_total_emc_);
-        ar.io(lat_onchip_core_);
-        ar.io(lat_dram_core_);
-        ar.io(lat_queue_core_);
-        ar.io(lat_queue_emc_);
-        ar.io(lat_ring_core_);
-        ar.io(lat_llcpath_core_);
-        ar.io(hist_lat_core_);
-        ar.io(hist_lat_emc_);
         ar.io(phases_);
         ar.io(llc_demand_accesses_);
         ar.io(llc_demand_misses_);
@@ -173,8 +163,8 @@ System::ckptPayload(ckpt::Ar &ar, ckpt::Level level,
                 if (ck_txns_) {
                     // Reseed the lifecycle checker at the stage the
                     // transaction's own timestamps prove it reached
-                    // (t_fill is set for merged/EMC fills whose onFill
-                    // hook is still pending; filled->filled is legal).
+                    // (t_fill is set for merged fills whose onFill hook
+                    // is still pending; filled->filled is legal).
                     unsigned stage = 0;
                     if (t.t_fill != kNoCycle)
                         stage = 3;
@@ -196,8 +186,6 @@ System::ckptPayload(ckpt::Ar &ar, ckpt::Level level,
         ar.io(chains_in_flight_);
         ar.io(results_in_flight_);
         ar.io(lsq_msgs_);
-        ar.io(emc_replies_);
-        ar.io(emc_reply_start_);
     });
     section("events", [&] {
         if (ar.saving()) {
@@ -300,7 +288,7 @@ System::drainInFlight()
                 return false;
         }
         return chains_in_flight_.empty() && results_in_flight_.empty()
-               && lsq_msgs_.empty() && emc_replies_.empty()
+               && lsq_msgs_.empty()
                && pending_fills_.empty()
                && outstanding_demand_lines_.empty()
                && outstanding_prefetch_lines_.empty();

@@ -8,12 +8,15 @@
  *  - a figure renders the same alone as inside a larger campaign
  *  - EMC_BENCH_THREADS=1 and =4 render identical files (run under
  *    TSan by the sanitize-thread CI config)
+ *  - fig19's per-phase savings total fig18's saving, mix by mix
  */
 
 #include <cstdio>
 #include <cstdlib>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -205,4 +208,42 @@ TEST(Campaign, ThreadCountDoesNotChangeOutput)
     EXPECT_EQ(json, slurp(four + "/BENCH_diversity.json"));
     std::filesystem::remove_all(one);
     std::filesystem::remove_all(four);
+}
+
+/** Column @p col (0-based, whitespace-split) of each "H<n>" row. */
+std::map<std::string, std::string>
+mixColumn(const std::string &text, std::size_t col)
+{
+    std::map<std::string, std::string> out;
+    std::istringstream lines(text);
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.size() < 2 || line[0] != 'H' || !std::isdigit(line[1]))
+            continue;
+        std::istringstream words(line);
+        std::vector<std::string> w;
+        for (std::string x; words >> x;)
+            w.push_back(x);
+        if (col < w.size())
+            out[w[0]] = w[col];
+    }
+    return out;
+}
+
+TEST(Campaign, Fig19SavingsTotalFig18Saving)
+{
+    setenv("EMC_SIM_UOPS", "2000", 1);
+    const std::string dir = freshDir("campaign_fig18_19");
+    runCampaign(realFigures({"fig18_miss_latency", "fig19_latency_savings"}),
+                dir);
+    unsetenv("EMC_SIM_UOPS");
+
+    // fig18: mix core emc saved saving; fig19: mix lookup xfer queue
+    // dram ret total.
+    const auto saved = mixColumn(slurp(dir + "/fig18_miss_latency.txt"), 3);
+    const auto total =
+        mixColumn(slurp(dir + "/fig19_latency_savings.txt"), 6);
+    EXPECT_GE(saved.size(), 5u);
+    EXPECT_EQ(saved, total);
+    std::filesystem::remove_all(dir);
 }

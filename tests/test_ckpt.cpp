@@ -496,6 +496,11 @@ TEST(CkptWarmup, RejectsProfileSeedAndVersionMismatches)
     v3[16] = 3;
     System old(cfg, mix);
     EXPECT_THROW(old.restoreCheckpointBytes(v3), emc::ckpt::Error);
+    // Version 4 images carried the retired latency averages.
+    std::vector<std::uint8_t> v4 = image;
+    v4[16] = 4;
+    System prev(cfg, mix);
+    EXPECT_THROW(prev.restoreCheckpointBytes(v4), emc::ckpt::Error);
 }
 
 TEST(CkptWarmup, WorkloadSectionCarriesOnlyDirtyWords)

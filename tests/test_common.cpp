@@ -197,6 +197,23 @@ TEST(StatsTest, HistogramPercentileOverflow)
     EXPECT_DOUBLE_EQ(h.percentile(0.34), 5.0);
 }
 
+TEST(StatsTest, HistogramPercentileNeverExceedsEverySample)
+{
+    // One sample in a wide bucket: the bucket midpoint (16) lies above
+    // it, and rank floor(0.5 * 1) = 0 used to pick that bucket anyway.
+    Histogram one(64, 32.0);
+    one.sample(3);
+    EXPECT_DOUBLE_EQ(one.percentile(0.50), 3.0);
+    EXPECT_DOUBLE_EQ(one.percentile(0.99), 3.0);
+
+    Histogram zeros(64, 32.0);
+    for (int i = 0; i < 500; ++i)
+        zeros.sample(0);
+    EXPECT_DOUBLE_EQ(zeros.percentile(0.0), 0.0);
+    EXPECT_DOUBLE_EQ(zeros.percentile(0.50), 0.0);
+    EXPECT_DOUBLE_EQ(zeros.percentile(0.99), 0.0);
+}
+
 TEST(StatsTest, HistogramResetClearsMax)
 {
     Histogram h(4, 10.0);

@@ -309,7 +309,7 @@ TEST(EmcTest, MissPredictorLearnsAndBypassesLlc)
 TEST(EmcTest, MissPredictorDisabledAblation)
 {
     EmcConfig cfg;
-    cfg.miss_predictor_enabled = false;
+    cfg.direct_dram = false;  // no bypass: the predictor goes unused
     EmcHarness h(cfg);
     for (int i = 0; i < 8; ++i)
         h.emc.missPredUpdate(0, 0x208, lineAlign(0x208008), true);

@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
+#include "obs/phase.hh"
 #include "sim/system.hh"
+#include "workload/profile.hh"
 
 namespace emc
 {
@@ -213,17 +217,54 @@ TEST(SystemTest, RowConflictRateReasonable)
     EXPECT_LE(rate, 1.0);
 }
 
+/** Relative error of the phase means' sum against the total mean. */
+double
+phaseSumError(const StatDump &d, const std::string &cls)
+{
+    const std::string base = "phase." + cls + ".";
+    double sum = 0;
+    for (std::size_t p = 0; p < obs::kPhaseTotal; ++p)
+        sum += d.get(base + obs::phaseName(p) + "_avg");
+    const double total = d.get(base + "total_avg");
+    return std::abs(sum - total) / total;
+}
+
 TEST(SystemTest, LatencyBreakdownAddsUp)
 {
     System sys(smallCfg(), {"mcf", "omnetpp", "soplex", "sphinx3"});
     sys.run();
     const StatDump d = sys.dump();
-    // Figure 1 split: on-chip + DRAM <= total (after-miss portion is a
-    // subset of the full L1-to-L1 latency).
-    EXPECT_GT(d.get("lat.core_dram"), 0.0);
-    EXPECT_GT(d.get("lat.core_onchip"), 0.0);
-    EXPECT_LE(d.get("lat.core_dram") + d.get("lat.core_onchip"),
-              d.get("lat.core_total") + 1.0);
+    // Figure 1 split: DRAM service plus the on-chip rest is the total,
+    // and both parts are real.
+    EXPECT_GT(d.get("phase.core.dram_avg"), 0.0);
+    EXPECT_GT(d.get("phase.core.total_avg") - d.get("phase.core.dram_avg"),
+              0.0);
+    EXPECT_LE(phaseSumError(d, "core"), 1e-9);
+    EXPECT_DOUBLE_EQ(d.get("lat.core_total"), d.get("phase.core.total_avg"));
+}
+
+TEST(SystemTest, PhaseMeansSumToTotalPerClass)
+{
+    // H1 and H4 with the EMC on: for every class, the phase means sum
+    // to the total mean, so fig19's per-phase savings sum to fig18's.
+    for (std::size_t h : {0u, 3u}) {
+        SystemConfig cfg = smallCfg();
+        cfg.emc_enabled = true;
+        System sys(cfg, quadWorkloads()[h]);
+        sys.run();
+        const StatDump d = sys.dump();
+        for (const char *cls : {"core", "core_dep", "emc"}) {
+            ASSERT_GT(d.get(std::string("phase.") + cls + ".total_samples"),
+                      0.0) << quadWorkloadName(h) << " " << cls;
+            EXPECT_LE(phaseSumError(d, cls), 1e-9)
+                << quadWorkloadName(h) << " " << cls;
+        }
+        EXPECT_DOUBLE_EQ(d.get("lat.emc_total"),
+                         d.get("phase.emc.total_avg"));
+        // core_dep is the dependent subset of core.
+        EXPECT_LT(d.get("phase.core_dep.total_samples"),
+                  d.get("phase.core.total_samples"));
+    }
 }
 
 TEST(SystemTest, InclusiveHierarchyBackInvalidates)
@@ -323,14 +364,24 @@ TEST(SystemTest, LatencyPercentilesOrdered)
     System sys(cfg, {"mcf", "mcf", "mcf", "mcf"});
     sys.run();
     const StatDump d = sys.dump();
-    ASSERT_TRUE(d.has("lat.core_p50"));
-    EXPECT_LE(d.get("lat.core_p50"), d.get("lat.core_p90"));
-    EXPECT_LE(d.get("lat.core_p90"), d.get("lat.core_p99"));
-    if (d.has("lat.emc_p50")) {
-        EXPECT_LE(d.get("lat.emc_p50"), d.get("lat.emc_p90"));
-        // The EMC's median miss is at least as fast as the core's.
-        EXPECT_LE(d.get("lat.emc_p50"), d.get("lat.core_p50") + 26.0);
+    ASSERT_TRUE(d.has("phase.core.total_p50"));
+    ASSERT_TRUE(d.has("phase.emc.total_p50"));
+    for (std::size_t c = 0; c < obs::kNumPhaseClasses; ++c) {
+        const auto cls = static_cast<obs::PhaseClass>(c);
+        for (std::size_t p = 0; p < obs::kNumPhases; ++p) {
+            const std::string key = std::string("phase.")
+                                    + obs::phaseClassName(cls) + "."
+                                    + obs::phaseName(p);
+            EXPECT_LE(d.get(key + "_p50"), d.get(key + "_p95")) << key;
+            EXPECT_LE(d.get(key + "_p95"), d.get(key + "_p99")) << key;
+            EXPECT_LE(d.get(key + "_p99"),
+                      sys.phases().hist(cls, p).maxSample()) << key;
+        }
     }
+    // The EMC's median miss is at least as fast as the core's, within
+    // one histogram bucket.
+    EXPECT_LE(d.get("phase.emc.total_p50"),
+              d.get("phase.core.total_p50") + obs::kPhaseBucketWidth);
 }
 
 TEST(SystemTest, TlbShootdownInvalidatesEmcEntries)
@@ -363,6 +414,218 @@ TEST(SystemTest, JsonDumpWellFormedEnough)
     EXPECT_NE(json.find("\"system.cycles\""), std::string::npos);
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
               std::count(json.begin(), json.end(), '}'));
+}
+
+// --------------------------------------------------------------------
+// Latency oracle: one requester, one request, an idle chip. Every
+// phase (DESIGN.md §6) of the core path and of the EMC paths is a
+// closed form of the config, derived from the tick order: events,
+// then DRAM channels, EMCs, rings, cores. A ring message moves one
+// stop per cycle and is handled on arrival, during the ring's tick;
+// a same-stop message is an event the next cycle.
+// --------------------------------------------------------------------
+
+/** One core (fetch paused, so the test alone issues requests) and two
+ *  MCs with one DRAM channel each. Ring stops: core 0 with its LLC
+ *  slice, MC0, MC1 — every pair one hop apart. */
+SystemConfig
+oracleConfig()
+{
+    SystemConfig cfg;
+    cfg.num_cores = 1;
+    cfg.num_mcs = 2;
+    cfg.emc_enabled = true;
+    return cfg;
+}
+
+constexpr Cycle kHops = 1;
+
+/** The physical page the oracle requests use. Its line k maps to
+ *  channel (= MC) k % 2 and bank (k / 2) % 8: distinct k / 2 give
+ *  distinct banks, so every request finds its bank idle and closed. */
+constexpr Addr kFrame = 0x200;
+constexpr Addr kVpage = 0x100;
+
+Addr
+frameLine(unsigned k)
+{
+    return (kFrame << kPageShift) + k * kLineBytes;
+}
+
+Addr
+pageVaddr(unsigned k)
+{
+    return (kVpage << kPageShift) + k * kLineBytes;
+}
+
+/** DRAM service of a read to a closed bank: activate, CAS, burst. */
+Cycle
+closedBankRead(const SystemConfig &cfg)
+{
+    return cfg.timing.tRCD + cfg.timing.tCL + cfg.timing.tBurst;
+}
+
+/** Tick until @p cls holds its first sample; return its phases. */
+std::vector<Cycle>
+firstSample(System &sys, obs::PhaseClass cls)
+{
+    for (int i = 0; i < 5000; ++i) {
+        if (sys.phases().hist(cls, obs::kPhaseTotal).samples() > 0)
+            break;
+        sys.tickOnce();
+    }
+    std::vector<Cycle> v;
+    for (std::size_t p = 0; p < obs::kNumPhases; ++p) {
+        const Histogram &h = sys.phases().hist(cls, p);
+        EXPECT_EQ(h.samples(), 1u) << obs::phaseName(p);
+        v.push_back(static_cast<Cycle>(h.mean()));
+    }
+    return v;
+}
+
+/** A chain offloaded by core 0: the source load (its data already
+ *  past the MC) yields the address of one dependent load, to frame
+ *  line @p dep_k. The EMC at the source's MC (line @p src_k) runs it. */
+ChainRequest
+oracleChain(unsigned src_k, unsigned dep_k)
+{
+    ChainRequest c;
+    c.id = 1;
+    c.core = 0;
+    c.source_paddr_line = frameLine(src_k);
+    c.source_value = pageVaddr(dep_k);
+    c.source_epr = 0;
+
+    ChainUop src;
+    src.d.uop.op = Opcode::kLoad;
+    src.d.uop.dst = 1;
+    src.d.uop.src1 = 1;
+    src.d.vaddr = pageVaddr(src_k);
+    src.d.mem_value = src.d.result = pageVaddr(dep_k);
+    src.is_source = true;
+    src.epr_dst = 0;
+    src.rob_seq = 10;
+    c.uops.push_back(src);
+
+    ChainUop dep;
+    dep.d.uop.op = Opcode::kLoad;
+    dep.d.uop.dst = 2;
+    dep.d.uop.src1 = 1;
+    dep.d.vaddr = pageVaddr(dep_k);
+    dep.d.mem_value = dep.d.result = 42;
+    dep.epr_dst = 1;
+    dep.epr_src1 = 0;
+    dep.rob_seq = 11;
+    c.uops.push_back(dep);
+
+    c.source_pte = Pte{kVpage, kFrame, true};
+    c.pte_attached = true;
+    return c;
+}
+
+using Phases = std::vector<Cycle>;  // lookup xfer queue dram ret total
+
+TEST(LatencyOracle, CorePath)
+{
+    const SystemConfig cfg = oracleConfig();
+    System sys(cfg, {"mcf"});
+    sys.mutableCore(0).pauseFetch(true);
+    ASSERT_TRUE(sys.requestLine(0, frameLine(0), 0x400, false, true));
+
+    const Cycle L = cfg.llc_latency;
+    // lookup: same-stop hop to the slice (1) + the LLC lookup.
+    // xfer:   slice -> MC0 on the control ring.
+    // queue:  the request reaches MC0 in the ring tick, after the
+    //         channel's tick of that cycle: issued 1 cycle later.
+    // ret:    MC0 -> slice on the data ring, then the same-stop hop.
+    const Phases want = {1 + L, kHops, 1, closedBankRead(cfg), kHops + 1,
+                         1 + L + kHops + 1 + closedBankRead(cfg) + kHops
+                             + 1};
+    EXPECT_EQ(firstSample(sys, obs::PhaseClass::kCoreDep), want);
+    EXPECT_EQ(firstSample(sys, obs::PhaseClass::kCore), want);
+}
+
+TEST(LatencyOracle, EmcPathThroughTheLlc)
+{
+    const SystemConfig cfg = oracleConfig();
+    System sys(cfg, {"mcf"});
+    sys.mutableCore(0).pauseFetch(true);
+    ASSERT_TRUE(sys.offloadChain(oracleChain(2, 4)));  // EMC0, line on MC0
+
+    // An untrained predictor says "LLC hit", so the load queries the
+    // slice. lookup: the EMC's LSQ-populate message to the core left
+    // MC0's stop first the same cycle, so the query waits 1 for its
+    // ring slot, then MC0 -> slice and the lookup. xfer/queue as on
+    // the core path; the data is at EMC0 when the burst ends.
+    const Cycle L = cfg.llc_latency;
+    const Phases want = {1 + kHops + L, kHops, 1, closedBankRead(cfg), 0,
+                         1 + kHops + L + kHops + 1 + closedBankRead(cfg)};
+    EXPECT_EQ(firstSample(sys, obs::PhaseClass::kEmc), want);
+    EXPECT_EQ(sys.dump().get("emc.llc_query_loads"), 1.0);
+}
+
+/** Train the EMC's miss predictor on @p pc with core misses to banks
+ *  the oracle requests do not use (channel 1, banks 0-3, other
+ *  rows), and wait for them to finish. */
+void
+trainMissPredictor(System &sys, Addr pc)
+{
+    unsigned n = 0;
+    for (Addr frame : {0x300u, 0x400u}) {
+        for (unsigned k : {1u, 3u, 5u, 7u}) {
+            ASSERT_TRUE(sys.requestLine(
+                0, (frame << kPageShift) + k * kLineBytes, pc, false,
+                false));
+            ++n;
+        }
+    }
+    for (int i = 0; i < 20000; ++i) {
+        if (sys.phases().hist(obs::PhaseClass::kCore, obs::kPhaseTotal)
+                .samples() == n)
+            break;
+        sys.tickOnce();
+    }
+}
+
+constexpr Addr kTrainedPc = 0x777;
+
+TEST(LatencyOracle, EmcPathDirectAtItsOwnMc)
+{
+    const SystemConfig cfg = oracleConfig();
+    System sys(cfg, {"mcf"});
+    sys.mutableCore(0).pauseFetch(true);
+    trainMissPredictor(sys, kTrainedPc);
+    ChainRequest c = oracleChain(2, 4);  // EMC0, line on MC0
+    c.uops[1].d.uop.pc = kTrainedPc;
+    ASSERT_TRUE(sys.offloadChain(c));
+
+    // A predicted miss goes straight to DRAM: no lookup; the
+    // same-stop hop to MC0's queue is an event before the channel's
+    // tick, so it issues at once; the data is at EMC0 when the burst
+    // ends.
+    const Phases want = {0, 1, 0, closedBankRead(cfg), 0,
+                         1 + closedBankRead(cfg)};
+    EXPECT_EQ(firstSample(sys, obs::PhaseClass::kEmc), want);
+    EXPECT_EQ(sys.dump().get("emc.direct_dram_loads"), 1.0);
+}
+
+TEST(LatencyOracle, EmcPathDirectAcrossMcs)
+{
+    const SystemConfig cfg = oracleConfig();
+    System sys(cfg, {"mcf"});
+    sys.mutableCore(0).pauseFetch(true);
+    trainMissPredictor(sys, kTrainedPc);
+    ChainRequest c = oracleChain(2, 9);  // EMC0, line on MC1
+    c.uops[1].d.uop.pc = kTrainedPc;
+    ASSERT_TRUE(sys.offloadChain(c));
+
+    // EMC0 -> MC1 on the control ring, arriving after MC1's channel
+    // tick (queue 1); the data rides back MC1 -> EMC0 on the data
+    // ring and ends there, not at the LLC install.
+    const Phases want = {0, kHops, 1, closedBankRead(cfg), kHops,
+                         kHops + 1 + closedBankRead(cfg) + kHops};
+    EXPECT_EQ(firstSample(sys, obs::PhaseClass::kEmc), want);
+    EXPECT_EQ(sys.dump().get("emc.direct_dram_loads"), 1.0);
 }
 
 } // namespace

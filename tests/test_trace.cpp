@@ -81,21 +81,67 @@ TEST(JsonParserTest, RejectsMalformed)
 // Phase accumulator sampling rules
 // --------------------------------------------------------------------
 
-TEST(PhaseAccumulatorTest, SkipsPhasesWithMissingEndpoints)
+TEST(PhaseAccumulatorTest, SkippedPhaseContributesZero)
 {
     PhaseAccumulator acc;
-    PhaseTimes t;
+    PhaseTimes t;  // EMC direct-DRAM path: no LLC lookup, own MC
     t.created = 100;
-    t.retire = 400;
-    t.fill = 380;  // no llc_miss / dram_enqueue (EMC direct-DRAM path)
+    t.llc_miss = 100;
+    t.dram_enqueue = 101;
+    t.dram_issue = 101;
+    t.dram_data = 205;
+    t.done = 205;
     acc.sample(PhaseClass::kEmc, t);
-    EXPECT_EQ(acc.hist(PhaseClass::kEmc, kPhaseLookup).samples(), 0u);
-    EXPECT_EQ(acc.hist(PhaseClass::kEmc, kPhaseXfer).samples(), 0u);
-    EXPECT_EQ(acc.hist(PhaseClass::kEmc, kPhaseDram).samples(), 0u);
-    EXPECT_EQ(acc.hist(PhaseClass::kEmc, kPhaseRet).samples(), 1u);
-    EXPECT_EQ(acc.hist(PhaseClass::kEmc, kPhaseTotal).samples(), 1u);
-    EXPECT_DOUBLE_EQ(acc.hist(PhaseClass::kEmc, kPhaseTotal).mean(),
-                     300.0);
+    const double want[kNumPhases] = {0, 1, 0, 104, 0, 105};
+    for (std::size_t p = 0; p < kNumPhases; ++p) {
+        const Histogram &h = acc.hist(PhaseClass::kEmc, p);
+        EXPECT_EQ(h.samples(), 1u) << phaseName(p);
+        EXPECT_DOUBLE_EQ(h.mean(), want[p]) << phaseName(p);
+        // One sample: every percentile is that sample, not a bucket
+        // midpoint above it.
+        EXPECT_DOUBLE_EQ(h.percentile(0.5), want[p]) << phaseName(p);
+    }
+    EXPECT_EQ(acc.hist(PhaseClass::kCore, kPhaseTotal).samples(), 0u);
+}
+
+TEST(PhaseAccumulatorTest, DependentCoreSamplesAlsoCountAsCore)
+{
+    PhaseAccumulator acc;
+    PhaseTimes t{10, 40, 50, 60, 164, 180};
+    acc.sample(PhaseClass::kCoreDep, t);
+    acc.sample(PhaseClass::kCore, t);
+    EXPECT_EQ(acc.hist(PhaseClass::kCoreDep, kPhaseTotal).samples(), 1u);
+    EXPECT_EQ(acc.hist(PhaseClass::kCore, kPhaseTotal).samples(), 2u);
+    EXPECT_EQ(acc.hist(PhaseClass::kEmc, kPhaseTotal).samples(), 0u);
+}
+
+TEST(TraceReaderTest, OutOfOrderPhaseEndpointsAreAnIssue)
+{
+    // A crafted span whose dram_data arg (the DRAM issue cycle) lies
+    // after the data: reported, not sampled, not a crash.
+    const std::string path = tempPath("crafted.json");
+    {
+        std::ofstream out(path);
+        const std::string ev =
+            R"("cat":"txn","pid":1,"tid":0,"id":"0x1")";
+        out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"
+            << R"({"ph":"b","name":"demand",)" << ev
+            << R"(,"ts":10,"args":{"dep":0,"emc":0,"pf":0,"st":0}},)"
+            << "\n"
+            << R"({"ph":"n","name":"llc_miss",)" << ev << R"(,"ts":30},)"
+            << "\n"
+            << R"({"ph":"n","name":"dram_enqueue",)" << ev
+            << R"(,"ts":40},)" << "\n"
+            << R"({"ph":"n","name":"dram_data",)" << ev
+            << R"(,"ts":100,"args":{"arg":"0x500"}},)" << "\n"
+            << R"({"ph":"e","name":"demand",)" << ev << R"(,"ts":110})"
+            << "\n]}\n";
+    }
+    const TraceSummary s = readTrace(path);
+    EXPECT_FALSE(s.ok);
+    ASSERT_EQ(s.issue_total, 1u);
+    EXPECT_NE(s.issues[0].message.find("out-of-order"), std::string::npos);
+    EXPECT_EQ(s.phases.hist(PhaseClass::kCore, kPhaseTotal).samples(), 0u);
 }
 
 // --------------------------------------------------------------------
@@ -149,7 +195,7 @@ TEST(TracedRunTest, ExportedTraceIsValid)
     // every lifecycle point fired at least once in an EMC-enabled run.
     using P = TracePoint;
     for (P p : {P::kCreated, P::kLlcMiss, P::kDramEnqueue, P::kFill,
-                P::kRetire})
+                P::kRetire, P::kDramData, P::kEmcData})
         EXPECT_GT(s.point_counts[static_cast<int>(p)], 0u)
             << tracePointName(p);
 }
@@ -161,39 +207,46 @@ TEST(TracedRunTest, SummarizeAgreesWithExportedPhaseStats)
 #endif
     // warmup_uops stays 0: the trace records from cycle 0 while stats
     // reset post-warmup, so agreement holds for unwarmed runs only.
-    SystemConfig cfg = smallConfig();
-    cfg.trace_path = tempPath("agree.json");
+    // Two MCs add EMC requests whose data returns by a cross-MC reply.
+    for (unsigned mcs : {1u, 2u}) {
+        SCOPED_TRACE("num_mcs=" + std::to_string(mcs));
+        SystemConfig cfg = smallConfig();
+        cfg.num_mcs = mcs;
+        cfg.trace_path = tempPath("agree.json");
 
-    StatDump d;
-    {
-        System sys(cfg, kWorkload);
-        sys.run();
-        d = sys.dump();
-    }
+        StatDump d;
+        {
+            System sys(cfg, kWorkload);
+            sys.run();
+            d = sys.dump();
+        }
 
-    const TraceSummary s = readTrace(cfg.trace_path);
-    ASSERT_TRUE(s.ok);
+        const TraceSummary s = readTrace(cfg.trace_path);
+        ASSERT_TRUE(s.ok);
+        ASSERT_GT(d.get("phase.emc.total_samples"), 0.0);
 
-    for (int c = 0; c < 3; ++c) {
-        const auto cls = static_cast<PhaseClass>(c);
-        for (std::size_t p = 0; p < kNumPhases; ++p) {
-            const Histogram &h = s.phases.hist(cls, p);
-            const std::string key = std::string("phase.")
-                                    + phaseClassName(cls) + "."
-                                    + phaseName(p);
-            if (h.samples() == 0) {
-                EXPECT_FALSE(d.has(key + "_samples")) << key;
-                continue;
+        for (std::size_t c = 0; c < kNumPhaseClasses; ++c) {
+            const auto cls = static_cast<PhaseClass>(c);
+            for (std::size_t p = 0; p < kNumPhases; ++p) {
+                const Histogram &h = s.phases.hist(cls, p);
+                const std::string key = std::string("phase.")
+                                        + phaseClassName(cls) + "."
+                                        + phaseName(p);
+                if (h.samples() == 0) {
+                    EXPECT_FALSE(d.has(key + "_samples")) << key;
+                    continue;
+                }
+                EXPECT_DOUBLE_EQ(d.get(key + "_samples"),
+                                 static_cast<double>(h.samples()))
+                    << key;
+                EXPECT_DOUBLE_EQ(d.get(key + "_avg"), h.mean()) << key;
+                EXPECT_DOUBLE_EQ(d.get(key + "_p50"), h.percentile(0.50))
+                    << key;
+                EXPECT_DOUBLE_EQ(d.get(key + "_p95"), h.percentile(0.95))
+                    << key;
+                EXPECT_DOUBLE_EQ(d.get(key + "_p99"), h.percentile(0.99))
+                    << key;
             }
-            EXPECT_DOUBLE_EQ(d.get(key + "_samples"),
-                             static_cast<double>(h.samples())) << key;
-            EXPECT_DOUBLE_EQ(d.get(key + "_avg"), h.mean()) << key;
-            EXPECT_DOUBLE_EQ(d.get(key + "_p50"), h.percentile(0.50))
-                << key;
-            EXPECT_DOUBLE_EQ(d.get(key + "_p95"), h.percentile(0.95))
-                << key;
-            EXPECT_DOUBLE_EQ(d.get(key + "_p99"), h.percentile(0.99))
-                << key;
         }
     }
 }

@@ -78,7 +78,7 @@ printPhases(const PhaseAccumulator &ph)
 {
     std::printf("%-12s %-8s %10s %10s %10s %10s %10s\n", "class",
                 "phase", "samples", "avg", "p50", "p95", "p99");
-    for (int c = 0; c < 3; ++c) {
+    for (std::size_t c = 0; c < kNumPhaseClasses; ++c) {
         const auto cls = static_cast<PhaseClass>(c);
         for (std::size_t p = 0; p < kNumPhases; ++p) {
             const Histogram &h = ph.hist(cls, p);
@@ -120,7 +120,7 @@ cmdDiff(const std::string &path_a, const std::string &path_b)
     }
     std::printf("%-12s %-8s %12s %12s %9s\n", "class", "phase",
                 "avg(A)", "avg(B)", "delta");
-    for (int c = 0; c < 3; ++c) {
+    for (std::size_t c = 0; c < kNumPhaseClasses; ++c) {
         const auto cls = static_cast<PhaseClass>(c);
         for (std::size_t p = 0; p < kNumPhases; ++p) {
             const Histogram &ha = a.phases.hist(cls, p);
