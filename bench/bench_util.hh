@@ -127,6 +127,15 @@ void banner(std::FILE *out, const std::string &item,
 /** Print one line of text. */
 void note(std::FILE *out, const std::string &text);
 
+/**
+ * The note each figure whose paper version has a Markov+stream column
+ * prints in its place.
+ */
+inline constexpr const char *kMarkovNotModelled =
+    "markov+stream: not modelled — no LLC miss line recurs in these"
+    " workloads, so a Markov table never fires; its column equalled"
+    " stream's (EXPERIMENTS.md)";
+
 /** Four copies of one benchmark (homogeneous quad workloads). */
 std::vector<std::string> homo(const std::string &name);
 

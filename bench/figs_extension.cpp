@@ -181,8 +181,7 @@ prefetcherWorkloads()
 }
 
 const PrefetchConfig kEngines[] = {
-    PrefetchConfig::kGhb, PrefetchConfig::kStream, PrefetchConfig::kStride,
-    PrefetchConfig::kMarkovStream};
+    PrefetchConfig::kGhb, PrefetchConfig::kStream, PrefetchConfig::kStride};
 
 std::vector<RunJob>
 prefetcherJobs()
@@ -225,10 +224,10 @@ prefetcherRender(const Results &res, std::FILE *out, std::FILE *)
         }
     }
     note(out, "");
+    note(out, kMarkovNotModelled);
     note(out, "expected shape: stream/stride help streams at high"
               " accuracy and modest traffic; nothing helps pure pointer"
-              " chasing; Markov+stream buys coverage with the most"
-              " traffic.");
+              " chasing.");
 }
 
 /** Kernel family of an irregular profile (matches its dominant mix):

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "bench/campaign.hh"
 #include "workload/profile.hh"
@@ -74,9 +75,8 @@ table1Render(const Results &, std::FILE *out, std::FILE *)
                  static_cast<unsigned long long>(q.timing.tRCD),
                  static_cast<unsigned long long>(q.timing.tRP));
     std::fprintf(out, "Prefetchers     stream (32 streams, distance "
-                      "32), GHB G/DC (1k entries), Markov (1 MB, 4 "
-                      "succ) + stream; all with FDP degree 1-32, fill "
-                      "into LLC\n");
+                      "32), GHB G/DC (1k entries); all with FDP degree "
+                      "1-32, fill into LLC\n");
 
     SystemConfig e8 = eightConfig(PrefetchConfig::kNone, true, true);
     std::fprintf(out, "8-core scaling  %u cores, %u MCs, %u channels, "
@@ -233,13 +233,12 @@ fig02Render(const Results &res, std::FILE *out, std::FILE *)
               " show ~0 for both.");
 }
 
-// ---- Figure 3: the share of dependent misses the GHB, stream and
-// Markov+stream prefetchers cover (turn into hits), and the bandwidth
-// each costs.
+// ---- Figure 3: the share of dependent misses the GHB and stream
+// prefetchers cover (turn into hits), and the bandwidth each costs.
 
 const PrefetchConfig kFig03Pfs[] = {PrefetchConfig::kGhb,
-                                    PrefetchConfig::kStream,
-                                    PrefetchConfig::kMarkovStream};
+                                    PrefetchConfig::kStream};
+constexpr unsigned kFig03NumPfs = std::size(kFig03Pfs);
 
 /** The dependent-miss-relevant subset: streamers have no dependent
  *  misses to cover, as Figure 2 establishes. */
@@ -271,13 +270,13 @@ fig03Render(const Results &res, std::FILE *out, std::FILE *)
     std::fprintf(out, "\n");
 
     double bw_base_total = 0;
-    double bw_pf_total[3] = {0, 0, 0};
+    double bw_pf_total[kFig03NumPfs] = {};
     for (std::size_t a = 0; a < kFig03Apps.size(); ++a) {
-        const StatDump &base = res[4 * a].stats;
-        bw_base_total += base.get("traffic.total");
+        const RunResult *app_res = &res[(1 + kFig03NumPfs) * a];
+        bw_base_total += app_res[0].stats.get("traffic.total");
         std::fprintf(out, "%-12s", kFig03Apps[a].c_str());
-        for (unsigned p = 0; p < 3; ++p) {
-            const StatDump &d = res[4 * a + 1 + p].stats;
+        for (unsigned p = 0; p < kFig03NumPfs; ++p) {
+            const StatDump &d = app_res[1 + p].stats;
             const double covered =
                 d.get("llc.dep_misses_covered_by_pf");
             const double dep_total = d.get("llc.dep_misses") + covered;
@@ -290,16 +289,17 @@ fig03Render(const Results &res, std::FILE *out, std::FILE *)
     }
 
     std::fprintf(out, "\nbandwidth increase vs no-prefetch baseline:\n");
-    for (unsigned p = 0; p < 3; ++p) {
+    const char *paper[kFig03NumPfs] = {"+20%", "+22%"};
+    for (unsigned p = 0; p < kFig03NumPfs; ++p) {
         std::fprintf(out, "  %-14s %+6.1f%%  (paper: %s)\n",
                      prefetchConfigName(kFig03Pfs[p]),
                      100 * (bw_pf_total[p] / bw_base_total - 1.0),
-                     p == 0 ? "+20%" : (p == 1 ? "+22%" : "+42%"));
+                     paper[p]);
     }
     note(out, "");
-    note(out, "expected shape: low dependent-miss coverage across all"
-              " three prefetchers; Markov+stream costs the most"
-              " bandwidth.");
+    note(out, kMarkovNotModelled);
+    note(out, "expected shape: low dependent-miss coverage across both"
+              " prefetchers.");
 }
 
 // ---- Figure 6: average number of operations in the dependence chain

@@ -46,7 +46,6 @@ main()
         {"no-pf", PrefetchConfig::kNone, false},
         {"ghb", PrefetchConfig::kGhb, false},
         {"stream", PrefetchConfig::kStream, false},
-        {"markov+stream", PrefetchConfig::kMarkovStream, false},
         {"emc", PrefetchConfig::kNone, true},
         {"ghb+emc", PrefetchConfig::kGhb, true},
     };

@@ -145,8 +145,6 @@ hashEmc(HashAcc &a, const EmcConfig &e)
     a.u(e.dcache_ways);
     a.u(e.dcache_latency);
     a.u(e.tlb_entries);
-    a.u(e.miss_pred_entries);
-    a.u(e.miss_pred_threshold);
     a.u(e.direct_dram);
     hashPred(a, e.pred);
 }

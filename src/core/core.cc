@@ -860,23 +860,12 @@ Core::maybeGenerateChain()
 
     if (!dep_counter_.topTwoBitsSet()) {
         ++stats_.chains_rejected_counter;
-        if (std::getenv("EMC_CHAIN_DEBUG")) {
-            std::fprintf(stderr, "[%llu] core%u trigger: counter low "
-                         "(%u)\n", (unsigned long long)now_, id_,
-                         dep_counter_.value());
-        }
         return;
     }
 
     ChainRequest chain;
-    if (!buildChain(head, chain)) {
-        if (std::getenv("EMC_CHAIN_DEBUG")) {
-            std::fprintf(stderr, "[%llu] core%u trigger: no chain for "
-                         "head %s\n", (unsigned long long)now_, id_,
-                         head.d.uop.toString().c_str());
-        }
+    if (!buildChain(head, chain))
         return;
-    }
 
     // Generation costs one cycle per chain uop (the per-cycle pseudo
     // wake-up walk of Figure 9), then the chain ships to the EMC.

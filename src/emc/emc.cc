@@ -4,44 +4,14 @@
 
 #include "common/log.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace emc
 {
-
-namespace
-{
-
-/** Env-gated chain timeline debugging (EMC_CHAIN_DEBUG=1). */
-bool
-traceOn()
-{
-    static const bool on = std::getenv("EMC_CHAIN_DEBUG") != nullptr;
-    return on;
-}
-
-/**
- * The EMC's legacy table knobs (miss_pred_entries/threshold) override
- * the generic predictor config so pre-zoo configurations and the
- * ablation sweeps keep selecting the exact same table.
- */
-pred::PredConfig
-emcPredConfig(const EmcConfig &cfg)
-{
-    pred::PredConfig p = cfg.pred;
-    p.table_entries = cfg.miss_pred_entries;
-    p.table_threshold = cfg.miss_pred_threshold;
-    return p;
-}
-
-} // namespace
 
 Emc::Emc(const EmcConfig &cfg, unsigned num_cores, EmcPort *port)
     : cfg_(cfg), num_cores_(num_cores), port_(port),
       contexts_(cfg.contexts),
       dcache_(cfg.dcache_bytes, cfg.dcache_ways, "emc_dcache"),
-      pred_(pred::makePredictor(emcPredConfig(cfg), num_cores))
+      pred_(pred::makePredictor(cfg.pred, num_cores))
 {
     for (unsigned c = 0; c < num_cores; ++c)
         tlbs_.emplace_back(cfg.tlb_entries);
@@ -98,15 +68,6 @@ Emc::acceptChain(const ChainRequest &chain, bool source_already_arrived)
 
     ++stats_.chains_accepted;
     stats_.uops_per_chain.sample(static_cast<double>(chain.uops.size()));
-    if (traceOn()) {
-        std::fprintf(stderr, "[%llu] chain %llu core%u accept uops=%zu "
-                     "src_line=%llx pre_armed=%d\n",
-                     (unsigned long long)port_->now(),
-                     (unsigned long long)chain.id, chain.core,
-                     chain.uops.size(),
-                     (unsigned long long)chain.source_paddr_line,
-                     source_already_arrived);
-    }
 
     if (source_already_arrived)
         observeFill(chain.source_paddr_line);
@@ -129,11 +90,6 @@ Emc::observeFill(Addr paddr_line)
             continue;
         c.armed = true;
         c.arm_cycle = port_->now();
-        if (traceOn()) {
-            std::fprintf(stderr, "[%llu] chain %llu arm\n",
-                         (unsigned long long)port_->now(),
-                         (unsigned long long)c.chain.id);
-        }
         // Every source load's destination EPR receives its slice of
         // the arriving line (the MSHR wakes all merged loads at once).
         for (unsigned u = 0; u < c.chain.uops.size(); ++u) {
@@ -315,14 +271,6 @@ Emc::issueUop(unsigned ctx_idx, unsigned uop_idx)
         if (!sent)
             return false;  // backpressure: retry next cycle
 
-        if (traceOn()) {
-            std::fprintf(stderr, "[%llu] chain %llu load uop%u line=%llx"
-                         " %s\n",
-                         (unsigned long long)now,
-                         (unsigned long long)c.chain.id, uop_idx,
-                         (unsigned long long)line,
-                         predict_miss ? "direct" : "via-llc");
-        }
         EMC_OBS_POINT(tracer_, obs::TracePoint::kEmcIssue, now,
                       c.chain.id, obs::Track::emcCtx(trace_mc_, ctx_idx),
                       line);
@@ -444,12 +392,6 @@ Emc::finishContext(unsigned ctx_idx)
 {
     Context &c = contexts_[ctx_idx];
     ++stats_.chains_completed;
-    if (traceOn()) {
-        std::fprintf(stderr, "[%llu] chain %llu finish (armed@%llu)\n",
-                     (unsigned long long)port_->now(),
-                     (unsigned long long)c.chain.id,
-                     (unsigned long long)c.arm_cycle);
-    }
     if (c.arm_cycle != kNoCycle) {
         stats_.chain_exec_cycles.sample(
             static_cast<double>(port_->now() - c.arm_cycle));
@@ -498,11 +440,6 @@ Emc::memResponse(std::uint64_t token, bool was_llc_miss)
         st.llc_miss = was_llc_miss;
         completeUop(c, ti.uop, st.value);
     };
-    if (traceOn()) {
-        std::fprintf(stderr, "[%llu] memresp line=%llx ctx=%u uop=%u\n",
-                     (unsigned long long)port_->now(),
-                     (unsigned long long)info.line, info.ctx, info.uop);
-    }
     finish(info);
 
     // Wake every load merged onto this line.

@@ -44,12 +44,8 @@ struct EmcConfig
     unsigned dcache_ways = 4;
     Cycle dcache_latency = 2;
     unsigned tlb_entries = 32;      ///< per core
-    unsigned miss_pred_entries = 1024;
-    unsigned miss_pred_threshold = 3;  ///< counter > t => predict miss
     bool direct_dram = true;        ///< bypass LLC on predicted miss
-    /// Off-chip prediction engine (DESIGN.md §13). The table knobs
-    /// above override pred.table_entries/table_threshold so existing
-    /// ablation sweeps keep working unchanged.
+    /// Off-chip prediction engine (DESIGN.md §13).
     pred::PredConfig pred;
 };
 

@@ -85,7 +85,7 @@ class Prefetcher
     virtual void ckptSer(ckpt::Ar &ar) = 0;
 
   protected:
-    /** Emit a candidate (deduplicated against the current queue tail). */
+    /** Queue a candidate; dropped once kMaxQueue are already queued. */
     void
     emit(CoreId core, Addr line_addr)
     {

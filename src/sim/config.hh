@@ -20,13 +20,16 @@
 namespace emc
 {
 
-/** Prefetcher configurations evaluated in the paper. */
+/**
+ * Prefetcher configurations evaluated in the paper. Its Markov+stream
+ * baseline is not modelled: no LLC miss line recurs in these
+ * workloads, so a Markov table never fires (EXPERIMENTS.md, Fig. 3).
+ */
 enum class PrefetchConfig : std::uint8_t
 {
     kNone,
     kGhb,           ///< GHB G/DC
     kStream,        ///< POWER4-style stream
-    kMarkovStream,  ///< Markov + stream (always paired, Section 5)
     kStride,        ///< PC-indexed stride (extra baseline, [6] class)
     kPickle,        ///< predicted-miss cross-core correlator (§13)
 };

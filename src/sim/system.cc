@@ -5,7 +5,6 @@
 
 #include "common/log.hh"
 #include "prefetch/ghb.hh"
-#include "prefetch/markov.hh"
 #include "emc/chain_codec.hh"
 #include "pred/pickle.hh"
 #include "prefetch/stream.hh"
@@ -22,7 +21,6 @@ prefetchConfigName(PrefetchConfig p)
       case PrefetchConfig::kNone: return "none";
       case PrefetchConfig::kGhb: return "ghb";
       case PrefetchConfig::kStream: return "stream";
-      case PrefetchConfig::kMarkovStream: return "markov+stream";
       case PrefetchConfig::kStride: return "stride";
       case PrefetchConfig::kPickle: return "pickle";
     }
@@ -187,31 +185,22 @@ System::System(const SystemConfig &cfg,
         }
     }
 
-    // Prefetchers.
+    // Prefetcher (at most one engine per System).
     switch (cfg.prefetch) {
       case PrefetchConfig::kNone:
         break;
       case PrefetchConfig::kGhb:
-        prefetchers_.push_back(
-            std::make_unique<GhbPrefetcher>(cfg.num_cores, 1024));
+        prefetcher_ = std::make_unique<GhbPrefetcher>(cfg.num_cores, 1024);
         break;
       case PrefetchConfig::kStream:
-        prefetchers_.push_back(
-            std::make_unique<StreamPrefetcher>(cfg.num_cores, 32, 32));
-        break;
-      case PrefetchConfig::kMarkovStream:
-        prefetchers_.push_back(
-            std::make_unique<MarkovPrefetcher>(cfg.num_cores));
-        prefetchers_.push_back(
-            std::make_unique<StreamPrefetcher>(cfg.num_cores, 32, 32));
+        prefetcher_ =
+            std::make_unique<StreamPrefetcher>(cfg.num_cores, 32, 32);
         break;
       case PrefetchConfig::kStride:
-        prefetchers_.push_back(
-            std::make_unique<StridePrefetcher>(cfg.num_cores));
+        prefetcher_ = std::make_unique<StridePrefetcher>(cfg.num_cores);
         break;
       case PrefetchConfig::kPickle:
-        prefetchers_.push_back(
-            std::make_unique<pred::PicklePrefetcher>(cfg.num_cores));
+        prefetcher_ = std::make_unique<pred::PicklePrefetcher>(cfg.num_cores);
         break;
     }
 
@@ -845,11 +834,12 @@ System::handleSliceArrive(std::uint64_t token)
 void
 System::observeAtLlc(Txn &txn, bool hit)
 {
-    // Train prefetchers on the demand stream at the LLC and feed the
+    // Train the prefetcher on the demand stream at the LLC and feed the
     // EMC's hit/miss predictor.
     if (!txn.is_prefetch) {
-        for (auto &pf : prefetchers_)
-            pf->observe(txn.core, txn.line, txn.pc, !hit, fdp_.degree());
+        if (prefetcher_)
+            prefetcher_->observe(txn.core, txn.line, txn.pc, !hit,
+                                 fdp_.degree());
         if (!emcs_.empty() && !txn.for_store) {
             for (auto &e : emcs_)
                 e->missPredUpdate(txn.core, txn.pc, txn.line, !hit);
@@ -1398,46 +1388,44 @@ System::deliverToEmc(Txn &txn, bool was_llc_miss)
 // --------------------------------------------------------------------
 
 void
-System::drainPrefetchers()
+System::drainPrefetcher()
 {
-    for (auto &pf : prefetchers_) {
-        PrefetchCandidate cand;
-        unsigned budget = 4;
-        while (budget > 0 && pf->nextCandidate(cand)) {
-            --budget;
-            const Addr line = cand.line_addr;
-            const unsigned slice = sliceOf(line);
-            if (slices_[slice]->peek(line) != nullptr)
-                continue;
-            if (outstanding_prefetch_lines_.count(line))
-                continue;
-            if (outstanding_demand_lines_.count(line))
-                continue;
-            if (pending_fills_.count(line))
-                continue;
+    if (!prefetcher_)
+        return;
+    PrefetchCandidate cand;
+    unsigned budget = 4;
+    while (budget > 0 && prefetcher_->nextCandidate(cand)) {
+        --budget;
+        const Addr line = cand.line_addr;
+        const unsigned slice = sliceOf(line);
+        if (slices_[slice]->peek(line) != nullptr)
+            continue;
+        if (outstanding_prefetch_lines_.count(line))
+            continue;
+        if (outstanding_demand_lines_.count(line))
+            continue;
+        if (pending_fills_.count(line))
+            continue;
 
-            Txn txn;
-            txn.id = next_txn_++;
-            txn.core = cand.core;
-            txn.line = line;
-            txn.is_prefetch = true;
-            txn.t_start = now_;
-            txn.t_llc_miss = now_;
-            txns_.create(txn.id) = txn;
-            if (ck_txns_)
-                ck_txns_->onCreate(*check_, txn.id);
-            EMC_OBS_POINT(tracer_.get(), obs::TracePoint::kCreated,
-                          now_, txn.id, trackOf(txn), txn.line,
-                          txnFlags(txn));
-            EMC_OBS_POINT(tracer_.get(), obs::TracePoint::kLlcMiss,
-                          now_, txn.id, trackOf(txn), txn.line);
-            outstanding_prefetch_lines_.insert(line);
-            pending_fills_[line];
+        Txn txn;
+        txn.id = next_txn_++;
+        txn.core = cand.core;
+        txn.line = line;
+        txn.is_prefetch = true;
+        txn.t_start = now_;
+        txn.t_llc_miss = now_;
+        txns_.create(txn.id) = txn;
+        if (ck_txns_)
+            ck_txns_->onCreate(*check_, txn.id);
+        EMC_OBS_POINT(tracer_.get(), obs::TracePoint::kCreated, now_,
+                      txn.id, trackOf(txn), txn.line, txnFlags(txn));
+        EMC_OBS_POINT(tracer_.get(), obs::TracePoint::kLlcMiss, now_,
+                      txn.id, trackOf(txn), txn.line);
+        outstanding_prefetch_lines_.insert(line);
+        pending_fills_[line];
 
-            routeControl(stopOfCore(slice), stopOfMc(mcOfLine(line)),
-                         MsgType::kLlcMissToMc, txn.id,
-                         EvType::kMcEnqueue);
-        }
+        routeControl(stopOfCore(slice), stopOfMc(mcOfLine(line)),
+                     MsgType::kLlcMissToMc, txn.id, EvType::kMcEnqueue);
     }
 }
 
@@ -1521,7 +1509,7 @@ System::tickOnce()
         cores_[i]->tick();
         maybeSnapshotCore(i);
     }
-    drainPrefetchers();
+    drainPrefetcher();
     if (check_)
         runPerTickChecks();
 }
@@ -1584,10 +1572,8 @@ System::quiescentUntil() const
     }
     if (control_ring_.pending() != 0 || data_ring_.pending() != 0)
         return 0;
-    for (const auto &pf : prefetchers_) {
-        if (pf->queued() != 0)
-            return 0;
-    }
+    if (prefetcher_ && prefetcher_->queued() != 0)
+        return 0;
     for (const auto &e : emcs_) {
         if (!e->idle())
             return 0;

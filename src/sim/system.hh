@@ -3,7 +3,7 @@
  * The System assembles the whole chip of Figure 7 / Figure 11: cores
  * with their LLC slices on a bidirectional ring, one or two memory
  * controllers (each optionally enhanced with an EMC compute engine),
- * DDR3 channels behind them, and the prefetchers that train at the
+ * DDR3 channels behind them, and the prefetcher that trains at the
  * LLC. It implements CorePort (and a per-EMC port adapter), owns the
  * global clock, and produces the StatDump the benches consume.
  */
@@ -492,7 +492,7 @@ class System : public CorePort
 
     /** The kCreated flag bits describing @p txn. */
     std::uint8_t txnFlags(const Txn &txn) const;
-    void drainPrefetchers();
+    void drainPrefetcher();
     void observeAtLlc(Txn &txn, bool hit);
     void finalizeToCore(Txn &txn, unsigned slice);
     void maybeSnapshotCore(unsigned i);
@@ -529,8 +529,8 @@ class System : public CorePort
     std::vector<std::unique_ptr<EmcPort>> emc_ports_;
     std::vector<std::unique_ptr<Emc>> emcs_;
 
-    // Prefetching.
-    std::vector<std::unique_ptr<Prefetcher>> prefetchers_;
+    // Prefetching (null for PrefetchConfig::kNone).
+    std::unique_ptr<Prefetcher> prefetcher_;
     FdpThrottle fdp_;
     std::unordered_set<Addr> outstanding_prefetch_lines_;
 
@@ -555,7 +555,7 @@ class System : public CorePort
     std::unordered_map<Addr, unsigned> outstanding_demand_lines_;
     /// Cross-agent MSHR at the LLC: line -> txns merged onto the
     /// in-flight fill (primary txn excluded). Prevents the core, the
-    /// EMC and the prefetchers from fetching the same line twice.
+    /// EMC and the prefetcher from fetching the same line twice.
     std::unordered_map<Addr, std::vector<std::uint64_t>> pending_fills_;
 
     /** Register @p txn against an in-flight fill. @retval true merged. */

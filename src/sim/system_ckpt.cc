@@ -148,8 +148,8 @@ System::ckptPayload(ckpt::Ar &ar, ckpt::Level level,
             ar.io(*e);
     });
     section("prefetch", [&] {
-        for (auto &pf : prefetchers_)
-            pf->ckptSer(ar);
+        if (prefetcher_)
+            prefetcher_->ckptSer(ar);
         ar.io(fdp_);
         ar.io(outstanding_prefetch_lines_);
     });
@@ -283,10 +283,8 @@ System::drainInFlight()
             if (!e->idle())
                 return false;
         }
-        for (const auto &pf : prefetchers_) {
-            if (pf->queued() != 0)
-                return false;
-        }
+        if (prefetcher_ && prefetcher_->queued() != 0)
+            return false;
         return chains_in_flight_.empty() && results_in_flight_.empty()
                && lsq_msgs_.empty()
                && pending_fills_.empty()

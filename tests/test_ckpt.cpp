@@ -2,11 +2,12 @@
  * @file
  * Checkpoint/restore subsystem tests (DESIGN.md §7):
  *
- *  - full-level roundtrip exactness on a fig13-class config: save at
- *    cycle C (measured phase or mid-warmup), restore, run to the end
- *    — every stat bit-identical to an uninterrupted run, and the
- *    saving run itself unperturbed; also saved while loads are parked
- *    on stores and both DRAM queues hold requests (host-only state)
+ *  - full-level roundtrip exactness under every prefetcher config:
+ *    save at cycle C (measured phase or mid-warmup), restore, run to
+ *    the end — every stat bit-identical to an uninterrupted run, and
+ *    the saving run itself unperturbed; also saved while loads are
+ *    parked on stores and both DRAM queues hold requests (host-only
+ *    state)
  *  - restored state passes the src/check invariant suite with zero
  *    violations
  *  - warmup-level images fork into differing EMC/prefetcher configs,
@@ -41,6 +42,7 @@
 #include "ckpt/ckpt.hh"
 #include "sim/system.hh"
 #include "trace/record.hh"
+#include "workload/profile.hh"
 #include "workload/registry.hh"
 
 namespace emc
@@ -160,28 +162,52 @@ tmpPath(const std::string &name)
 
 } // namespace
 
-TEST(CkptFull, RoundtripIsExact)
+/**
+ * A full checkpoint round-trips exactly under every prefetcher. The H1
+ * mix is used because GHB, stream and stride all issue prefetches
+ * before the save point there (on 4x mcf none does, so a prefetcher
+ * left out of the image would go unnoticed), and its EMC runs chains.
+ */
+class CkptFullPf : public testing::TestWithParam<emc::PrefetchConfig>
 {
-    const SystemConfig cfg = fig13Config();
-    System straight(cfg, fig13Mix());
+};
+
+TEST_P(CkptFullPf, RoundtripIsExact)
+{
+    SystemConfig cfg = fig13Config();
+    cfg.prefetch = GetParam();
+    const std::vector<std::string> &mix = emc::quadWorkloads()[0];
+    System straight(cfg, mix);
     straight.run();
     const StatDump d_straight = straight.dump();
     // Past warmup (500 uops/core retire well within half the run).
     const Cycle mid = straight.cycles() / 2;
 
-    const std::string path = tmpPath("roundtrip.ckpt");
-    System saver(cfg, fig13Mix());
+    const std::string path = tmpPath(
+        std::string("roundtrip_") + emc::prefetchConfigName(cfg.prefetch)
+        + ".ckpt");
+    System saver(cfg, mix);
     saver.scheduleCheckpoint(path, mid);
     saver.run();
     // Saving is observation-only: the saver's own run is unperturbed.
     expectIdentical(d_straight, saver.dump(), "saving run");
 
-    System restored(cfg, fig13Mix());
+    System restored(cfg, mix);
     restored.restoreCheckpoint(path);
     restored.run();
     expectIdentical(d_straight, restored.dump(), "restored run");
     std::remove(path.c_str());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryPrefetcher, CkptFullPf,
+    testing::Values(emc::PrefetchConfig::kNone, emc::PrefetchConfig::kGhb,
+                    emc::PrefetchConfig::kStream,
+                    emc::PrefetchConfig::kStride,
+                    emc::PrefetchConfig::kPickle),
+    [](const testing::TestParamInfo<emc::PrefetchConfig> &info) {
+        return std::string(emc::prefetchConfigName(info.param));
+    });
 
 TEST(CkptFull, RoundtripWithParkedLoadsAndQueuedDram)
 {

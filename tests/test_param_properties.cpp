@@ -314,11 +314,9 @@ INSTANTIATE_TEST_SUITE_P(
         SysParam{PrefetchConfig::kGhb, false, SchedPolicy::kBatch},
         SysParam{PrefetchConfig::kGhb, true, SchedPolicy::kBatch},
         SysParam{PrefetchConfig::kStream, true, SchedPolicy::kBatch},
-        SysParam{PrefetchConfig::kMarkovStream, true,
-                 SchedPolicy::kBatch},
+        SysParam{PrefetchConfig::kStride, true, SchedPolicy::kBatch},
         SysParam{PrefetchConfig::kNone, true, SchedPolicy::kFrFcfs},
-        SysParam{PrefetchConfig::kMarkovStream, false,
-                 SchedPolicy::kFrFcfs}));
+        SysParam{PrefetchConfig::kStream, false, SchedPolicy::kFrFcfs}));
 
 } // namespace
 } // namespace emc

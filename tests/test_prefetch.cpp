@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the stream, GHB G/DC and Markov prefetchers and the
+ * Unit tests for the stream, GHB G/DC and stride prefetchers and the
  * FDP throttle.
  */
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "prefetch/ghb.hh"
-#include "prefetch/markov.hh"
 #include "prefetch/prefetcher.hh"
 #include "prefetch/stream.hh"
 #include "prefetch/stride.hh"
@@ -236,63 +235,6 @@ TEST(GhbPfTest, BufferWrapInvalidatesStaleLinks)
         drain(pf);  // discard, just exercising wrap safety
     }
     SUCCEED();  // no crash / no assert
-}
-
-// ---------------------------------------------------------------
-// Markov
-// ---------------------------------------------------------------
-
-TEST(MarkovPfTest, RecallsSuccessor)
-{
-    MarkovPrefetcher pf(1);
-    pf.observe(0, line(10), 0, true, 4);
-    pf.observe(0, line(777), 0, true, 4);   // 10 -> 777 recorded
-    pf.observe(0, line(5000), 0, true, 4);
-    drain(pf);
-    pf.observe(0, line(10), 0, true, 4);    // revisit 10
-    const auto cands = drain(pf);
-    ASSERT_FALSE(cands.empty());
-    EXPECT_EQ(lineNum(cands[0]), 777u);
-}
-
-TEST(MarkovPfTest, KeepsMultipleSuccessorsMru)
-{
-    MarkovPrefetcher pf(1, 1 << 20, 4);
-    // 10 -> 20, then 10 -> 30: both successors remembered, 30 MRU.
-    pf.observe(0, line(10), 0, true, 4);
-    pf.observe(0, line(20), 0, true, 4);
-    pf.observe(0, line(10), 0, true, 4);
-    drain(pf);
-    pf.observe(0, line(30), 0, true, 4);
-    pf.observe(0, line(10), 0, true, 4);
-    const auto cands = drain(pf);
-    ASSERT_GE(cands.size(), 2u);
-    EXPECT_EQ(lineNum(cands[0]), 30u);  // MRU first
-}
-
-TEST(MarkovPfTest, SuccessorListBounded)
-{
-    MarkovPrefetcher pf(1, 1 << 20, 2);
-    for (std::uint64_t s = 0; s < 6; ++s) {
-        pf.observe(0, line(10), 0, true, 8);
-        drain(pf);
-        pf.observe(0, line(100 + s), 0, true, 8);
-        drain(pf);
-    }
-    pf.observe(0, line(10), 0, true, 8);
-    EXPECT_LE(drain(pf).size(), 2u);
-}
-
-TEST(MarkovPfTest, TableCapacityEviction)
-{
-    MarkovPrefetcher pf(1, 4096, 4);  // tiny table
-    const std::size_t cap = pf.tableEntries();
-    // Fill way beyond capacity; no crash and old entries evicted.
-    for (std::uint64_t i = 0; i < cap * 4; ++i) {
-        pf.observe(0, line(i * 2), 0, true, 1);
-        drain(pf);
-    }
-    SUCCEED();
 }
 
 // ---------------------------------------------------------------

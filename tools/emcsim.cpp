@@ -45,7 +45,7 @@ usage()
         "configuration:\n"
         "  --cores N              core count (default 4; 8 supported)\n"
         "  --dual-mc              two memory controllers (8-core)\n"
-        "  --pf none|ghb|stream|markov|stride|pickle  prefetcher\n"
+        "  --pf none|ghb|stream|stride|pickle  prefetcher\n"
         "  --emc                  enable the Enhanced Memory"
         " Controller\n"
         "  --runahead             enable runahead execution\n"
@@ -247,8 +247,6 @@ main(int argc, char **argv)
             else if (p == "ghb") cfg.prefetch = PrefetchConfig::kGhb;
             else if (p == "stream")
                 cfg.prefetch = PrefetchConfig::kStream;
-            else if (p == "markov")
-                cfg.prefetch = PrefetchConfig::kMarkovStream;
             else if (p == "stride")
                 cfg.prefetch = PrefetchConfig::kStride;
             else if (p == "pickle")

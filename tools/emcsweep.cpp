@@ -99,8 +99,6 @@ applyKey(SystemConfig &cfg, const std::string &key,
         if (val == "none") cfg.prefetch = PrefetchConfig::kNone;
         else if (val == "ghb") cfg.prefetch = PrefetchConfig::kGhb;
         else if (val == "stream") cfg.prefetch = PrefetchConfig::kStream;
-        else if (val == "markov")
-            cfg.prefetch = PrefetchConfig::kMarkovStream;
         else if (val == "stride")
             cfg.prefetch = PrefetchConfig::kStride;
         else return false;
