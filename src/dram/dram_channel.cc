@@ -65,7 +65,7 @@ DramChannel::decode(Queued &qe) const
 
 void
 DramChannel::checkConsistent(
-    const std::function<void(const std::string &)> &fail) const
+    Cycle now, const std::function<void(const std::string &)> &fail) const
 {
     for (const auto *q : {&read_q_, &write_q_}) {
         for (const Queued &qe : *q) {
@@ -79,6 +79,33 @@ DramChannel::checkConsistent(
             }
         }
     }
+
+    // While asleep, nothing tick() could act on may come due before
+    // the wake cycle, or the skipped ticks would have changed state.
+    if (now >= wake_)
+        return;
+    const std::string sleeping =
+        " before wake cycle " + std::to_string(wake_);
+    if (next_refresh_ < wake_)
+        fail("refresh at " + std::to_string(next_refresh_) + sleeping);
+    for (const MemRequest &r : in_flight_) {
+        if (r.cycle_dram_data < wake_) {
+            fail("in-flight read " + std::to_string(r.id) + " due at "
+                 + std::to_string(r.cycle_dram_data) + sleeping);
+        }
+    }
+    for (const auto *q : {&read_q_, &write_q_}) {
+        if (q == &write_q_ && !writesEligible())
+            continue;
+        for (const Queued &qe : *q) {
+            const Cycle ready = banks_[qe.bank].readyCycle();
+            if (ready < wake_) {
+                fail("queued request " + std::to_string(qe.req.id)
+                     + " has bank " + std::to_string(qe.bank)
+                     + " ready at " + std::to_string(ready) + sleeping);
+            }
+        }
+    }
 }
 
 bool
@@ -88,6 +115,7 @@ DramChannel::enqueue(const MemRequest &req, Cycle now)
     qe.req = req;
     qe.req.cycle_mc_enqueue = now;
     decode(qe);
+    wake_ = 0;
     if (req.is_write) {
         // Writes are buffered and drained lazily; the write queue is
         // effectively unbounded relative to the workload's needs but a
@@ -276,9 +304,39 @@ DramChannel::issue(Queued &qe, Cycle now, bool is_write)
     }
 }
 
+bool
+DramChannel::writesEligible() const
+{
+    // Write drain policy: drain when the write queue is deep or there
+    // is nothing else to do.
+    return (draining_writes_ || read_q_.empty()) && !write_q_.empty();
+}
+
+Cycle
+DramChannel::nextWake() const
+{
+    // Called after a tick that issued nothing. Queue depths and the
+    // drain flag then only change through enqueue() (which resets the
+    // wake cycle) and bank readiness only through issue or refresh,
+    // so the earliest cycle anything can happen is the first of these.
+    Cycle wake = next_refresh_;
+    for (const MemRequest &r : in_flight_)
+        wake = std::min(wake, r.cycle_dram_data);
+    for (const Queued &qe : read_q_)
+        wake = std::min(wake, banks_[qe.bank].readyCycle());
+    if (writesEligible()) {
+        for (const Queued &qe : write_q_)
+            wake = std::min(wake, banks_[qe.bank].readyCycle());
+    }
+    return wake;
+}
+
 void
 DramChannel::tick(Cycle now)
 {
+    if (now < wake_)
+        return;
+
     maybeRefresh(now);
 
     // Deliver finished reads.
@@ -294,8 +352,6 @@ DramChannel::tick(Cycle now)
         }
     }
 
-    // Write drain policy: drain when the write queue is deep or there
-    // is nothing else to do.
     constexpr std::size_t kWriteHigh = 32;
     constexpr std::size_t kWriteLow = 8;
     if (draining_writes_ && write_q_.size() <= kWriteLow)
@@ -303,10 +359,7 @@ DramChannel::tick(Cycle now)
     if (!draining_writes_ && write_q_.size() >= kWriteHigh)
         draining_writes_ = true;
 
-    const bool do_write =
-        (draining_writes_ || read_q_.empty()) && !write_q_.empty();
-
-    if (do_write) {
+    if (writesEligible()) {
         const int idx = pickFrFcfs(write_q_, now);
         if (idx >= 0) {
             issue(write_q_[idx], now, true);
@@ -324,8 +377,11 @@ DramChannel::tick(Cycle now)
                 --marked_remaining_;
             issue(read_q_[idx], now, false);
             read_q_.erase(read_q_.begin() + idx);
+            return;
         }
     }
+
+    wake_ = nextWake();
 }
 
 } // namespace emc

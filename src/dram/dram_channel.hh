@@ -97,7 +97,10 @@ class DramChannel
     /** True if another read request can be accepted. */
     bool canAccept() const { return read_q_.size() < queue_limit_; }
 
-    /** Advance one core cycle; delivers completions via the callback. */
+    /**
+     * Advance one core cycle; delivers completions via the callback.
+     * Returns at once before the wake cycle (see wakeCycle()).
+     */
     void tick(Cycle now);
 
     void setCallback(Callback cb) { callback_ = std::move(cb); }
@@ -129,10 +132,24 @@ class DramChannel
     const Bank &bank(unsigned rank, unsigned b) const;
 
     /**
+     * Lower bound on the next cycle at which tick() can change state:
+     * the next refresh, the first in-flight data cycle, or the ready
+     * cycle of a bank that a request the scheduler may pick needs.
+     * Computed by a tick that issues nothing; enqueue() and a
+     * checkpoint load reset it to 0, so any new request is scheduled
+     * on exactly the cycles an every-cycle tick would see it. Host
+     * state only: never checkpointed.
+     */
+    Cycle wakeCycle() const { return wake_; }
+
+    /**
      * Deep self-check (periodic in checked runs): every queued
-     * request's cached bank and row equal mapAddress() of its address.
+     * request's cached bank and row equal mapAddress() of its address,
+     * and while the channel sleeps (@p now < wakeCycle()) nothing it
+     * could act on comes due before the wake cycle.
      */
     void checkConsistent(
+        Cycle now,
         const std::function<void(const std::string &)> &fail) const;
 
     /**
@@ -174,6 +191,7 @@ class DramChannel
                 decode(qe);
             for (Queued &qe : write_q_)
                 decode(qe);
+            wake_ = 0;
         }
         ar.io(in_flight_);
         ar.io(bus_free_);
@@ -213,6 +231,8 @@ class DramChannel
     };
 
     void decode(Queued &qe) const;
+    bool writesEligible() const;
+    Cycle nextWake() const;
     void maybeRefresh(Cycle now);
     void formBatch();
     int pickFrFcfs(const std::deque<Queued> &q, Cycle now) const;
@@ -236,6 +256,7 @@ class DramChannel
     Cycle bus_free_ = 0;
     Cycle next_refresh_ = 0;
     bool draining_writes_ = false;
+    Cycle wake_ = 0;  // ckpt-skip: (host-only sleep bound, 0 on load)
 
     // PAR-BS state
     std::uint64_t marked_remaining_ = 0;

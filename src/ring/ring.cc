@@ -1,5 +1,7 @@
 #include "ring/ring.hh"
 
+#include <bit>
+
 namespace emc
 {
 
@@ -7,6 +9,7 @@ Ring::Ring(unsigned stops, bool is_data)
     : stops_(stops), is_data_(is_data), inject_q_(stops)
 {
     emc_assert(stops >= 2, "ring needs at least two stops");
+    emc_assert(stops <= 64, "ring stops must fit Direction::stale");
     cw_.slots.resize(stops);
     cw_.step = 1;
     ccw_.slots.resize(stops);
@@ -37,52 +40,57 @@ Ring::send(const RingMsg &msg, Cycle now)
 std::size_t
 Ring::pending() const
 {
-    std::size_t n = 0;
+    std::size_t n = cw_.busy + ccw_.busy;
     for (const auto &q : inject_q_)
         n += q.size();
-    for (const auto &s : cw_.slots)
-        n += s.busy ? 1 : 0;
-    for (const auto &s : ccw_.slots)
-        n += s.busy ? 1 : 0;
     return n;
 }
 
 void
 Ring::advance(Direction &dir, Cycle now)
 {
-    // Rotate slot contents by one stop, then eject arrivals.
-    std::vector<Slot> next(stops_);
-    for (unsigned i = 0; i < stops_; ++i) {
-        if (!dir.slots[i].busy)
-            continue;
-        const unsigned ni = (i + stops_ + dir.step) % stops_;
-        next[ni] = dir.slots[i];
+    for (std::uint64_t m = dir.stale; m != 0; m &= m - 1) {
+        Slot &s = dir.slots[std::countr_zero(m)];
+        if (!s.busy)
+            s.msg = RingMsg{};
     }
-    dir.slots = std::move(next);
-    for (unsigned i = 0; i < stops_; ++i) {
-        Slot &s = dir.slots[i];
-        if (s.busy && s.msg.dst == i) {
-            stats_.total_latency +=
-                static_cast<double>(now - s.msg.injected);
-            ++stats_.delivered;
-            ++delivered_total_;
-            switch (s.msg.type) {
-              case MsgType::kChainTransfer:
-              case MsgType::kLiveOut:
-              case MsgType::kEmcFillReply:
-              case MsgType::kLsqPopulate:
-              case MsgType::kEmcLlcQuery:
-                EMC_OBS_POINT(tracer_, obs::TracePoint::kRingMsg, now,
-                              s.msg.token, obs::Track::ring(is_data_),
-                              s.msg.token);
-                break;
-              default:
-                break;
-            }
-            if (deliver_)
-                deliver_(s.msg);
-            s.busy = false;
+    dir.stale = 0;
+    if (dir.busy == 0)
+        return;  // an empty direction looks the same after rotating
+
+    // Rotate slot contents by one stop, then eject arrivals in stop
+    // order.
+    dir.base = (dir.base + stops_ - dir.step) % stops_;
+    const unsigned busy = dir.busy;
+    unsigned seen = 0;
+    for (unsigned i = 0; i < stops_ && seen < busy; ++i) {
+        Slot &s = slotAt(dir, i);
+        if (!s.busy)
+            continue;
+        ++seen;
+        if (s.msg.dst != i)
+            continue;
+        stats_.total_latency += static_cast<double>(now - s.msg.injected);
+        ++stats_.delivered;
+        ++delivered_total_;
+        switch (s.msg.type) {
+          case MsgType::kChainTransfer:
+          case MsgType::kLiveOut:
+          case MsgType::kEmcFillReply:
+          case MsgType::kLsqPopulate:
+          case MsgType::kEmcLlcQuery:
+            EMC_OBS_POINT(tracer_, obs::TracePoint::kRingMsg, now,
+                          s.msg.token, obs::Track::ring(is_data_),
+                          s.msg.token);
+            break;
+          default:
+            break;
         }
+        if (deliver_)
+            deliver_(s.msg);
+        s.busy = false;
+        --dir.busy;
+        dir.stale |= std::uint64_t{1} << (&s - dir.slots.data());
     }
 }
 
@@ -98,18 +106,20 @@ Ring::inject(Cycle now)
             const unsigned bwd = (stop + stops_ - m.dst) % stops_;
             Direction &primary = fwd <= bwd ? cw_ : ccw_;
             Direction &secondary = fwd <= bwd ? ccw_ : cw_;
-            if (!primary.slots[stop].busy) {
-                primary.slots[stop].busy = true;
-                primary.slots[stop].msg = m;
-                q.pop_front();
-            } else if (!secondary.slots[stop].busy && fwd == bwd) {
-                secondary.slots[stop].busy = true;
-                secondary.slots[stop].msg = m;
-                q.pop_front();
-            } else {
+            Direction *dir = nullptr;
+            if (!slotAt(primary, stop).busy)
+                dir = &primary;
+            else if (fwd == bwd && !slotAt(secondary, stop).busy)
+                dir = &secondary;
+            if (!dir) {
                 ++stats_.inject_stalls;
                 break;  // head-of-line blocks this stop this cycle
             }
+            Slot &s = slotAt(*dir, stop);
+            s.busy = true;
+            s.msg = m;
+            ++dir->busy;
+            q.pop_front();
         }
     }
 }

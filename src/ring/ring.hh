@@ -175,8 +175,8 @@ class Ring
     void
     ser(A &ar)
     {
-        ar.io(cw_.slots);
-        ar.io(ccw_.slots);
+        serSlots(ar, cw_);
+        serSlots(ar, ccw_);
         ar.io(inject_q_);
         ar.io(stats_);
         ar.io(sent_total_);
@@ -199,13 +199,55 @@ class Ring
         }
     };
 
-    /** One rotation direction of the ring. */
+    /**
+     * One rotation direction of the ring. Slots never move in memory:
+     * the slot at stop i is slots[(i + base) % stops], and advancing
+     * one stop only moves base.
+     */
     struct Direction
     {
-        // slots_[i] is the slot currently at stop i.
         std::vector<Slot> slots;
-        int step;  ///< +1 or -1 stop per cycle
+        int step;           ///< +1 or -1 stop per cycle
+        unsigned base = 0;  ///< rotation offset
+        unsigned busy = 0;  ///< slots carrying a message
+        /**
+         * Bit i: slots[i] was freed by the last tick's ejections. It
+         * keeps the delivered message until the next rotation resets
+         * it, as a slot rebuilt per cycle would, so checkpoint bytes
+         * match.
+         */
+        std::uint64_t stale = 0;
     };
+
+    Slot &
+    slotAt(Direction &dir, unsigned stop)
+    {
+        const unsigned i = stop + dir.base;
+        return dir.slots[i < stops_ ? i : i - stops_];
+    }
+
+    /**
+     * Write or read @p dir's slots in stop order, as a vector of
+     * exactly stops_ slots (a different length on load throws).
+     */
+    template <class A>
+    void
+    serSlots(A &ar, Direction &dir)
+    {
+        ar.length(stops_);
+        for (unsigned i = 0; i < stops_; ++i)
+            ar.io(slotAt(dir, i));
+        if (ar.loading()) {
+            dir.busy = 0;
+            dir.stale = 0;
+            for (unsigned i = 0; i < stops_; ++i) {
+                if (dir.slots[i].busy)
+                    ++dir.busy;
+                else
+                    dir.stale |= std::uint64_t{1} << i;
+            }
+        }
+    }
 
     void advance(Direction &dir, Cycle now);
     void inject(Cycle now);

@@ -360,12 +360,13 @@ System::runDeepChecks()
     }
     for (std::size_t m = 0; m < channels_.size(); ++m) {
         for (std::size_t c = 0; c < channels_[m].size(); ++c) {
-            channels_[m][c]->checkConsistent([&](const std::string &msg) {
-                check_->fail("dram_state",
-                             "mc" + std::to_string(m) + ".ch"
-                                 + std::to_string(c),
-                             0, msg);
-            });
+            channels_[m][c]->checkConsistent(
+                now_, [&](const std::string &msg) {
+                    check_->fail("dram_state",
+                                 "mc" + std::to_string(m) + ".ch"
+                                     + std::to_string(c),
+                                 0, msg);
+                });
         }
     }
     // Every transaction merged onto an in-flight fill must still be

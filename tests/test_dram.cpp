@@ -8,45 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <deque>
+#include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "ckpt/serial.hh"
 #include "common/rng.hh"
 #include "dram/dram_channel.hh"
+#include "dram_test_peer.hh"
 
 namespace emc
 {
-
-/** Test access to the channel's scheduler state. */
-struct DramChannelTestPeer
-{
-    using Queued = DramChannel::Queued;
-
-    static std::deque<Queued> &readQ(DramChannel &c) { return c.read_q_; }
-    static std::deque<Queued> &writeQ(DramChannel &c) { return c.write_q_; }
-    static std::vector<Bank> &banks(DramChannel &c) { return c.banks_; }
-
-    static std::vector<std::uint64_t> &
-    threadRank(DramChannel &c)
-    {
-        return c.thread_rank_;
-    }
-
-    static std::uint64_t &
-    markedRemaining(DramChannel &c)
-    {
-        return c.marked_remaining_;
-    }
-
-    static int
-    pickFrFcfs(const DramChannel &c, bool writes, Cycle now)
-    {
-        return c.pickFrFcfs(writes ? c.write_q_ : c.read_q_, now);
-    }
-
-    static int pickBatch(DramChannel &c, Cycle now) { return c.pickBatch(now); }
-};
 
 namespace
 {
@@ -566,7 +539,7 @@ crossCheck(DramChannel &ch, const DramGeometry &g, unsigned num_cores,
 {
     using P = DramChannelTestPeer;
     OracleScheduler o = snapshot(ch, g, num_cores);
-    ch.checkConsistent([](const std::string &msg) { FAIL() << msg; });
+    ch.checkConsistent(now, [](const std::string &msg) { FAIL() << msg; });
     EXPECT_EQ(P::pickFrFcfs(ch, false, now), o.pickFrFcfs(o.read_q, now));
     EXPECT_EQ(P::pickFrFcfs(ch, true, now), o.pickFrFcfs(o.write_q, now));
     EXPECT_EQ(P::pickBatch(ch, now), o.pickBatch(now));
@@ -617,6 +590,212 @@ TEST(DramSchedulerOracle, PicksMatchAfterCheckpointRoundTrip)
         crossCheck(dst, g, 4, rng.below(2500));
         if (HasFailure())
             return;
+    }
+}
+
+// --------------------------------------------------------------------
+// Wake-cycle cross-check: a channel that sleeps until its wake cycle
+// against the same channel ticked in full every cycle (the test peer
+// clears its wake cycle before each tick). Every completion, every
+// stat and every checkpoint byte must agree.
+// --------------------------------------------------------------------
+
+/** One delivered read, as the completion callback saw it. */
+struct Completion
+{
+    std::uint64_t id;
+    Cycle issue;
+    Cycle data;
+    RowOutcome outcome;
+    Cycle delivered;
+
+    bool operator==(const Completion &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Completion &c)
+{
+    return os << "{id " << c.id << " issue " << c.issue << " data "
+              << c.data << " outcome " << static_cast<int>(c.outcome)
+              << " delivered " << c.delivered << "}";
+}
+
+std::vector<std::uint8_t>
+image(DramChannel &ch)
+{
+    ckpt::Ar save = ckpt::Ar::saver();
+    ch.ser(save);
+    return save.takeBytes();
+}
+
+/** What a wake cross-check run exercised. */
+struct WakeCoverage
+{
+    std::uint64_t slept_ticks = 0;
+    std::uint64_t enqueues_while_asleep = 0;
+    bool write_q_reached_high = false;   ///< >= 32: drain starts
+    bool write_q_fell_to_low = false;    ///< then <= 8: drain stops
+    std::uint64_t batches_run_out = 0;   ///< reads waiting, none marked
+    bool round_tripped = false;
+};
+
+/**
+ * Drive the same randomized enqueue/tick stream into a sleeping and an
+ * every-cycle channel. Traffic comes in 2000-cycle phases (idle, read
+ * heavy, write bursts, sparse), each request enqueued before or after
+ * the tick of its cycle. With @p round_trip the sleeping channel is
+ * saved and restored into a fresh one, mid-run, while it sleeps.
+ */
+WakeCoverage
+crossCheckWake(SchedPolicy policy, std::uint64_t seed, bool round_trip)
+{
+    using P = DramChannelTestPeer;
+    const DramGeometry g = quadGeo();
+    const DramTiming t;
+    const Cycle cycles = 4 * t.tREFI + 1000;
+    const auto make = [&] {
+        return std::make_unique<DramChannel>(g, t, policy, 16, 4);
+    };
+    Cycle now = 1;
+    std::vector<Completion> want, got;
+    const auto recorder = [&now](std::vector<Completion> &out) {
+        return [&now, &out](const MemRequest &r) {
+            out.push_back({r.id, r.cycle_dram_issue, r.cycle_dram_data,
+                           r.outcome, now});
+        };
+    };
+    auto every = make();
+    auto sleeper = make();
+    every->setCallback(recorder(want));
+    sleeper->setCallback(recorder(got));
+
+    WakeCoverage cov;
+    Rng rng(seed);
+    static constexpr double kPhases[][2] = {
+        {0.0, 0.0}, {0.06, 0.004}, {0.02, 0.08}, {0.004, 0.002}};
+    double p_read = 0, p_write = 0;
+    std::uint64_t next_id = 1;
+    const auto offer = [&](bool is_write) {
+        MemRequest r;
+        r.id = r.token = next_id++;
+        r.paddr = addrAt(g, 0, static_cast<unsigned>(rng.below(8)),
+                         rng.below(4),
+                         static_cast<unsigned>(rng.below(g.linesPerRow())),
+                         0);
+        r.core = static_cast<CoreId>(rng.below(4));
+        r.is_write = is_write;
+        if (now < sleeper->wakeCycle())
+            ++cov.enqueues_while_asleep;
+        const bool accepted = sleeper->enqueue(r, now);
+        EXPECT_EQ(every->enqueue(r, now), accepted) << "id " << r.id;
+    };
+
+    for (; now <= cycles; ++now) {
+        if (now % 2000 == 1) {
+            const auto &ph = kPhases[rng.below(4)];
+            p_read = ph[0];
+            p_write = ph[1];
+        }
+        const bool read = rng.chance(p_read);
+        const bool write = rng.chance(p_write);
+        const bool after_tick = rng.chance(0.3);
+        if (!after_tick) {
+            if (read)
+                offer(false);
+            if (write)
+                offer(true);
+        }
+
+        if (policy == SchedPolicy::kBatch && P::markedRemaining(*sleeper) == 0
+            && sleeper->readQueueDepth() > 0) {
+            ++cov.batches_run_out;
+        }
+        if (now < sleeper->wakeCycle())
+            ++cov.slept_ticks;
+        P::wake(*every) = 0;
+        every->tick(now);
+        sleeper->tick(now);
+
+        if (after_tick) {
+            if (read)
+                offer(false);
+            if (write)
+                offer(true);
+        }
+
+        const std::size_t wq = sleeper->writeQueueDepth();
+        cov.write_q_reached_high |= wq >= 32;
+        cov.write_q_fell_to_low |= cov.write_q_reached_high && wq <= 8;
+
+        if (round_trip && !cov.round_tripped && now >= cycles / 2
+            && now + 1 < sleeper->wakeCycle()) {
+            const std::vector<std::uint8_t> bytes = image(*sleeper);
+            // Restore into a channel that went to sleep on its own
+            // state: loading must wake it.
+            auto restored = make();
+            restored->tick(1);
+            EXPECT_EQ(restored->wakeCycle(), t.tREFI);
+            ckpt::Ar load = ckpt::Ar::loader(bytes);
+            restored->ser(load);
+            EXPECT_TRUE(load.exhausted());
+            EXPECT_EQ(restored->wakeCycle(), 0u);
+            EXPECT_EQ(image(*restored), bytes);
+            restored->setCallback(recorder(got));
+            sleeper = std::move(restored);
+            cov.round_tripped = true;
+        }
+
+        if (now % 1000 == 0) {
+            sleeper->checkConsistent(now, [&](const std::string &msg) {
+                ADD_FAILURE() << "cycle " << now << ": " << msg;
+            });
+            EXPECT_EQ(got, want) << "cycle " << now;
+            // The image holds the queues, banks, stats and counters.
+            EXPECT_EQ(image(*sleeper), image(*every)) << "cycle " << now;
+            if (::testing::Test::HasFailure())
+                return cov;
+        }
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(image(*sleeper), image(*every));
+    EXPECT_GE(sleeper->stats().refreshes, 4u);
+    EXPECT_GT(sleeper->stats().reads, 1000u);
+    EXPECT_GT(sleeper->stats().writes, 1000u);
+    return cov;
+}
+
+TEST(DramWakeCrossCheck, SleepingChannelMatchesEveryCycleTicks)
+{
+    for (SchedPolicy policy : {SchedPolicy::kFrFcfs, SchedPolicy::kBatch}) {
+        for (std::uint64_t seed : {3u, 11u, 42u}) {
+            SCOPED_TRACE(std::string(policy == SchedPolicy::kBatch
+                                         ? "PAR-BS"
+                                         : "FR-FCFS")
+                         + " seed " + std::to_string(seed));
+            const WakeCoverage cov = crossCheckWake(policy, seed, false);
+            if (HasFailure())
+                return;
+            // The run only shows something if the channel slept, was
+            // woken by enqueues, and drained writes across both marks.
+            EXPECT_GT(cov.slept_ticks, 2 * DramTiming{}.tREFI);
+            EXPECT_GT(cov.enqueues_while_asleep, 100u);
+            EXPECT_TRUE(cov.write_q_reached_high);
+            EXPECT_TRUE(cov.write_q_fell_to_low);
+            if (policy == SchedPolicy::kBatch) {
+                EXPECT_GT(cov.batches_run_out, 0u);
+            }
+        }
+    }
+}
+
+TEST(DramWakeCrossCheck, MatchesAcrossCheckpointTakenAsleep)
+{
+    for (SchedPolicy policy : {SchedPolicy::kFrFcfs, SchedPolicy::kBatch}) {
+        for (std::uint64_t seed : {5u, 23u}) {
+            const WakeCoverage cov = crossCheckWake(policy, seed, true);
+            ASSERT_FALSE(HasFailure());
+            EXPECT_TRUE(cov.round_tripped);
+        }
     }
 }
 

@@ -30,6 +30,7 @@
 #include "ckpt/ckpt.hh"
 #include "sim/fastwarm.hh"
 #include "sim/system.hh"
+#include "workload/profile.hh"
 
 using emc::SampleParams;
 using emc::StatDump;
@@ -40,8 +41,9 @@ using emc::WarmStateDiff;
 namespace
 {
 
+/** Quad-core, EMC and GHB prefetcher (the Fig. 12/13 machine). */
 SystemConfig
-fig13Config()
+ghbConfig()
 {
     SystemConfig cfg;
     cfg.prefetch = emc::PrefetchConfig::kGhb;
@@ -51,10 +53,22 @@ fig13Config()
     return cfg;
 }
 
+/**
+ * The H1 mix: GHB issues prefetches within these run lengths, so the
+ * restore and determinism checks also cover prefetcher state. On 4x
+ * mcf it issues none, and those checks would hold without it.
+ */
 std::vector<std::string>
-fig13Mix()
+h1Mix()
 {
-    return emc::bench::homo("mcf");
+    return emc::quadWorkloads()[0];
+}
+
+/** The run issued prefetches, so prefetcher state was exercised. */
+void
+expectPrefetches(const StatDump &d)
+{
+    EXPECT_GT(d.get("prefetch.issued"), 0.0);
 }
 
 SystemConfig
@@ -129,10 +143,10 @@ TEST(FastwarmEquivalence, MatchesDetailedWarmup)
 // the EMC data cache — the paths where stat-counting calls once hid.
 TEST(FastwarmContract, FastForwardTouchesNoStats)
 {
-    SystemConfig cfg = fig13Config();
+    SystemConfig cfg = ghbConfig();
     cfg.warmup_uops = 4000;
     cfg.llc_slice_bytes = 8 * 1024;
-    System sys(cfg, fig13Mix());
+    System sys(cfg, h1Mix());
     sys.fastForward(cfg.warmup_uops);
 
     for (unsigned i = 0; i < cfg.num_cores; ++i) {
@@ -167,23 +181,23 @@ TEST(FastwarmEquivalence, DetectsDivergence)
 
 TEST(FastwarmCkpt, ImagesAreDeterministic)
 {
-    const SystemConfig cfg = fig13Config();
+    const SystemConfig cfg = ghbConfig();
     const std::vector<std::uint8_t> img_a =
-        System(cfg, fig13Mix()).fastwarmCheckpointBytes();
+        System(cfg, h1Mix()).fastwarmCheckpointBytes();
     const std::vector<std::uint8_t> img_b =
-        System(cfg, fig13Mix()).fastwarmCheckpointBytes();
+        System(cfg, h1Mix()).fastwarmCheckpointBytes();
     EXPECT_EQ(img_a, img_b) << "fastwarm images differ run-to-run";
 }
 
 TEST(FastwarmCkpt, RestoredRunIsDeterministic)
 {
-    const SystemConfig cfg = fig13Config();
+    const SystemConfig cfg = ghbConfig();
     const std::vector<std::uint8_t> img =
-        System(cfg, fig13Mix()).fastwarmCheckpointBytes();
+        System(cfg, h1Mix()).fastwarmCheckpointBytes();
 
     StatDump dumps[2];
     for (int i = 0; i < 2; ++i) {
-        System sys(cfg, fig13Mix());
+        System sys(cfg, h1Mix());
         sys.restoreCheckpointBytes(img);
         sys.run();
         dumps[i] = sys.dump();
@@ -191,32 +205,34 @@ TEST(FastwarmCkpt, RestoredRunIsDeterministic)
     expectIdentical(dumps[0], dumps[1], "fastwarm restore");
     // The restored run measured real work.
     EXPECT_GT(dumps[0].get("core0.retired"), 0.0);
+    expectPrefetches(dumps[0]);
 }
 
 TEST(FastwarmCkpt, RefusedAfterRunning)
 {
-    const SystemConfig cfg = fig13Config();
-    System sys(cfg, fig13Mix());
+    const SystemConfig cfg = ghbConfig();
+    System sys(cfg, h1Mix());
     sys.tickOnce();
     EXPECT_THROW(sys.fastwarmCheckpointBytes(), emc::ckpt::Error);
 }
 
 TEST(Sampled, CiCoversFullRunIpc)
 {
-    SystemConfig cfg = fig13Config();
+    SystemConfig cfg = ghbConfig();
     cfg.target_uops = 20000;
     cfg.warmup_uops = 2000;
 
     // Full detailed run: aggregate throughput = sum of per-core IPC.
-    System full(cfg, fig13Mix());
+    System full(cfg, h1Mix());
     full.run();
     const double full_ipc = full.dump().get("system.ipc_sum");
     ASSERT_GT(full_ipc, 0.0);
+    expectPrefetches(full.dump());
 
     SampleParams p;
     p.period = 2000;
     p.detail = 500;
-    System sampled(cfg, fig13Mix());
+    System sampled(cfg, h1Mix());
     const emc::SampledStats s = sampled.runSampled(p);
 
     ASSERT_GE(s.windows, 5u);
@@ -239,7 +255,7 @@ TEST(Sampled, CiCoversFullRunIpc)
 
 TEST(Sampled, DeterministicAcrossRuns)
 {
-    SystemConfig cfg = fig13Config();
+    SystemConfig cfg = ghbConfig();
     cfg.target_uops = 6000;
     cfg.warmup_uops = 1000;
     SampleParams p;
@@ -248,11 +264,12 @@ TEST(Sampled, DeterministicAcrossRuns)
 
     StatDump dumps[2];
     for (int i = 0; i < 2; ++i) {
-        System sys(cfg, fig13Mix());
+        System sys(cfg, h1Mix());
         sys.runSampled(p);
         dumps[i] = sys.dump();
     }
     expectIdentical(dumps[0], dumps[1], "sampled run");
+    expectPrefetches(dumps[0]);
 }
 
 TEST(CkptCompress, RoundtripTransparent)
@@ -260,9 +277,9 @@ TEST(CkptCompress, RoundtripTransparent)
     if (!emc::ckpt::compressionAvailable())
         GTEST_SKIP() << "built without zlib";
 
-    const SystemConfig cfg = fig13Config();
+    const SystemConfig cfg = ghbConfig();
     const std::vector<std::uint8_t> raw =
-        System(cfg, fig13Mix()).fastwarmCheckpointBytes();
+        System(cfg, h1Mix()).fastwarmCheckpointBytes();
 
     // In-memory roundtrip.
     const std::vector<std::uint8_t> z = emc::ckpt::compressImage(raw);
@@ -278,10 +295,11 @@ TEST(CkptCompress, RoundtripTransparent)
     EXPECT_LT(std::filesystem::file_size(path), raw.size());
     EXPECT_EQ(emc::ckpt::readFile(path), raw);
 
-    System restored(cfg, fig13Mix());
+    System restored(cfg, h1Mix());
     restored.restoreCheckpoint(path);
     restored.run();
     EXPECT_GT(restored.dump().get("core0.retired"), 0.0);
+    expectPrefetches(restored.dump());
     std::remove(path.c_str());
 }
 
@@ -289,9 +307,9 @@ TEST(CkptCompress, CorruptCompressedImageRejected)
 {
     if (!emc::ckpt::compressionAvailable())
         GTEST_SKIP() << "built without zlib";
-    const SystemConfig cfg = fig13Config();
+    const SystemConfig cfg = ghbConfig();
     const std::vector<std::uint8_t> raw =
-        System(cfg, fig13Mix()).fastwarmCheckpointBytes();
+        System(cfg, h1Mix()).fastwarmCheckpointBytes();
     std::vector<std::uint8_t> z = emc::ckpt::compressImage(raw);
     z.resize(z.size() / 2);  // truncate the deflate stream
     EXPECT_THROW(emc::ckpt::maybeDecompressImage(z), emc::ckpt::Error);
@@ -301,10 +319,10 @@ TEST(CkptCompress, SystemKnobCompressesSaves)
 {
     if (!emc::ckpt::compressionAvailable())
         GTEST_SKIP() << "built without zlib";
-    const SystemConfig cfg = fig13Config();
+    const SystemConfig cfg = ghbConfig();
     const std::string path = tmpPath("knob.ckpt");
 
-    System sys(cfg, fig13Mix());
+    System sys(cfg, h1Mix());
     sys.setCkptCompress(true);
     sys.saveCheckpoint(path, emc::ckpt::Level::kFull);
 
@@ -317,9 +335,10 @@ TEST(CkptCompress, SystemKnobCompressesSaves)
     EXPECT_EQ(std::string(magic, 8), "EMCKPTZ\n");
 
     // ...and restore reads them transparently.
-    System restored(cfg, fig13Mix());
+    System restored(cfg, h1Mix());
     restored.restoreCheckpoint(path);
     restored.run();
     EXPECT_GT(restored.dump().get("core0.retired"), 0.0);
+    expectPrefetches(restored.dump());
     std::remove(path.c_str());
 }

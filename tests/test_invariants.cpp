@@ -17,6 +17,8 @@
 
 #include "check/check.hh"
 #include "check/checkers.hh"
+#include "dram/dram_channel.hh"
+#include "dram_test_peer.hh"
 #include "emc/emc.hh"
 #include "sim/system.hh"
 
@@ -378,6 +380,83 @@ TEST(CoreSelfCheckTest, WrongParkedBlockerFires)
     ASSERT_TRUE(corrupted) << "no load ever parked";
     core.selfCheck(c.reg);
     EXPECT_TRUE(c.sawMessage("but the SQ scan gives"));
+}
+
+// --------------------------------------------------------------------
+// DRAM wake cycle: a sleeping channel's wake cycle is a lower bound
+// --------------------------------------------------------------------
+
+/**
+ * Put @p ch to sleep with @p reqs enqueued at cycle 1, push its wake
+ * cycle past @p due(ch) and return the DRAM self-check's messages:
+ * none while the wake cycle is honest, @p want after the corruption.
+ */
+template <class Due>
+void
+expectWakeCheckFires(const std::vector<MemRequest> &reqs, Due due,
+                     const std::string &want)
+{
+    DramChannel ch(DramGeometry{}, DramTiming{}, SchedPolicy::kFrFcfs,
+                   64, 4);
+    for (const MemRequest &r : reqs)
+        ASSERT_TRUE(ch.enqueue(r, 1));
+    ch.tick(1);  // issues the first request
+    ch.tick(2);  // nothing can issue: asleep
+    ASSERT_GT(ch.wakeCycle(), 3u);
+    std::vector<std::string> got;
+    const auto collect = [&got](const std::string &m) {
+        got.push_back(m);
+    };
+    ch.checkConsistent(2, collect);
+    ASSERT_TRUE(got.empty()) << got[0];
+
+    DramChannelTestPeer::wake(ch) = due(ch) + 1;
+    ch.checkConsistent(2, collect);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_NE(got[0].find(want), std::string::npos) << got[0];
+    // Awake (now at or past the wake cycle), there is nothing to check.
+    got.clear();
+    ch.checkConsistent(DramChannelTestPeer::wake(ch), collect);
+    EXPECT_TRUE(got.empty()) << got[0];
+}
+
+TEST(DramWakeCheckTest, WakePastInFlightDataFires)
+{
+    MemRequest r;
+    r.id = 1;
+    r.paddr = 0;
+    expectWakeCheckFires({r}, [](DramChannel &ch) {
+        return ch.wakeCycle();  // the read's data cycle
+    }, "in-flight read 1 due at");
+}
+
+TEST(DramWakeCheckTest, WakePastQueuedRequestsBankFires)
+{
+    // Two writes to one bank, different rows: the second waits out the
+    // first's write recovery with nothing in flight.
+    const DramGeometry g;
+    const Addr next_row = static_cast<Addr>(g.channels) * g.banks_per_rank
+                          * g.linesPerRow() * kLineBytes;
+    MemRequest w1, w2;
+    w1.id = 1;
+    w2.id = 2;
+    w1.paddr = 0;
+    w2.paddr = next_row;
+    w1.is_write = w2.is_write = true;
+    ASSERT_EQ(mapAddress(w2.paddr, g).bank, mapAddress(0, g).bank);
+    ASSERT_NE(mapAddress(w2.paddr, g).row, mapAddress(0, g).row);
+    expectWakeCheckFires({w1, w2}, [](DramChannel &ch) {
+        return ch.wakeCycle();  // the bank's ready cycle
+    }, "queued request 2 has bank 0 ready at");
+}
+
+TEST(DramWakeCheckTest, WakePastRefreshFires)
+{
+    // An empty channel sleeps until its refresh.
+    expectWakeCheckFires({}, [](DramChannel &ch) {
+        EXPECT_EQ(ch.wakeCycle(), ch.nextRefresh());
+        return ch.nextRefresh();
+    }, "refresh at");
 }
 
 // --------------------------------------------------------------------

@@ -5,9 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <iterator>
 #include <map>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "ckpt/serial.hh"
 #include "common/rng.hh"
 #include "ring/ring.hh"
 
@@ -182,6 +189,274 @@ TEST(RingProperty, LatencyLowerBound)
     h.run(h.now + 200);
     for (const auto &[m, cyc] : h.delivered)
         EXPECT_GE(cyc - inject_cycle[m.token], dist[m.token]);
+}
+
+// --------------------------------------------------------------------
+// Reference model: the ring as a slot vector per direction that is
+// copied and rotated every cycle. Ring rotates an offset instead; it
+// must match the reference delivery for delivery and byte for byte.
+// --------------------------------------------------------------------
+
+/** Copy-and-rotate slotted ring with Ring's observable behaviour. */
+class RefRing
+{
+  public:
+    RefRing(unsigned stops, bool is_data)
+        : stops_(stops), is_data_(is_data), cw_(stops), ccw_(stops),
+          inject_q_(stops)
+    {
+    }
+
+    void setDeliver(Ring::Deliver d) { deliver_ = std::move(d); }
+    const RingStats &stats() const { return stats_; }
+
+    void
+    send(const RingMsg &msg, Cycle now)
+    {
+        RingMsg m = msg;
+        m.injected = now;
+        inject_q_[m.src].push_back(m);
+        ++sent_total_;
+        if (is_data_) {
+            ++stats_.data_msgs;
+            if (m.type == MsgType::kChainTransfer
+                || m.type == MsgType::kLiveOut)
+                ++stats_.data_emc_msgs;
+        } else {
+            ++stats_.control_msgs;
+            if (m.type == MsgType::kLsqPopulate
+                || m.type == MsgType::kEmcLlcQuery)
+                ++stats_.control_emc_msgs;
+        }
+    }
+
+    std::size_t
+    pending() const
+    {
+        std::size_t n = 0;
+        for (const auto &q : inject_q_)
+            n += q.size();
+        for (const auto *dir : {&cw_, &ccw_}) {
+            for (const Slot &s : *dir)
+                n += s.busy ? 1 : 0;
+        }
+        return n;
+    }
+
+    void
+    tick(Cycle now)
+    {
+        advance(cw_, 1, now);
+        advance(ccw_, stops_ - 1, now);
+        inject();
+    }
+
+    template <class A>
+    void
+    ser(A &ar)
+    {
+        ar.io(cw_);
+        ar.io(ccw_);
+        ar.io(inject_q_);
+        ar.io(stats_);
+        ar.io(sent_total_);
+        ar.io(delivered_total_);
+    }
+
+  private:
+    struct Slot
+    {
+        bool busy = false;
+        RingMsg msg;
+
+        template <class A>
+        void
+        ser(A &ar)
+        {
+            ar.io(busy);
+            ar.io(msg);
+        }
+    };
+
+    void
+    advance(std::vector<Slot> &slots, unsigned step, Cycle now)
+    {
+        // Move every busy slot on; the rest start over empty. An
+        // ejected slot keeps its message until the next rotation.
+        std::vector<Slot> next(stops_);
+        for (unsigned i = 0; i < stops_; ++i) {
+            if (slots[i].busy)
+                next[(i + step) % stops_] = slots[i];
+        }
+        slots = std::move(next);
+        for (unsigned i = 0; i < stops_; ++i) {
+            Slot &s = slots[i];
+            if (s.busy && s.msg.dst == i) {
+                stats_.total_latency +=
+                    static_cast<double>(now - s.msg.injected);
+                ++stats_.delivered;
+                ++delivered_total_;
+                deliver_(s.msg);
+                s.busy = false;
+            }
+        }
+    }
+
+    void
+    inject()
+    {
+        for (unsigned stop = 0; stop < stops_; ++stop) {
+            auto &q = inject_q_[stop];
+            while (!q.empty()) {
+                const RingMsg &m = q.front();
+                const unsigned fwd = (m.dst + stops_ - stop) % stops_;
+                const unsigned bwd = (stop + stops_ - m.dst) % stops_;
+                Slot &primary = (fwd <= bwd ? cw_ : ccw_)[stop];
+                Slot &secondary = (fwd <= bwd ? ccw_ : cw_)[stop];
+                Slot *slot = !primary.busy ? &primary
+                             : !secondary.busy && fwd == bwd ? &secondary
+                                                             : nullptr;
+                if (!slot) {
+                    ++stats_.inject_stalls;
+                    break;
+                }
+                slot->busy = true;
+                slot->msg = m;
+                q.pop_front();
+            }
+        }
+    }
+
+    unsigned stops_;
+    bool is_data_;
+    std::vector<Slot> cw_;   ///< cw_[i] is the slot at stop i
+    std::vector<Slot> ccw_;
+    std::vector<std::deque<RingMsg>> inject_q_;
+    Ring::Deliver deliver_;
+    RingStats stats_;
+    std::uint64_t sent_total_ = 0;
+    std::uint64_t delivered_total_ = 0;
+};
+
+template <class R>
+std::vector<std::uint8_t>
+image(R &ring)
+{
+    ckpt::Ar save = ckpt::Ar::saver();
+    ring.ser(save);
+    return save.takeBytes();
+}
+
+/**
+ * Random traffic into a Ring and the reference: 500-cycle phases of
+ * idle, light and bursty load (bursts stall injection), every message
+ * type, and deliveries that answer at once by re-entering send() as
+ * the System's dispatch does. The Ring is also restored from its own
+ * image every 777 cycles, with messages in flight.
+ */
+void
+crossCheckRing(unsigned stops, bool is_data, std::uint64_t seed)
+{
+    using Delivery = std::pair<std::uint64_t, Cycle>;  // token, cycle
+    constexpr std::uint64_t kReply = 1ull << 40;
+    Cycle now = 1;
+    std::vector<Delivery> got, want;
+    const auto reply = [&now](const RingMsg &m, auto &ring) {
+        if ((m.token & kReply) == 0 && m.token % 3 == 0) {
+            RingMsg r = m;
+            r.src = m.dst;
+            r.dst = m.src;
+            r.token = m.token | kReply;
+            ring.send(r, now);
+        }
+    };
+    auto ring = std::make_unique<Ring>(stops, is_data);
+    RefRing ref(stops, is_data);
+    const auto hook = [&](Ring &r) {
+        r.setDeliver([&](const RingMsg &m) {
+            got.emplace_back(m.token, now);
+            reply(m, r);
+        });
+    };
+    hook(*ring);
+    ref.setDeliver([&](const RingMsg &m) {
+        want.emplace_back(m.token, now);
+        reply(m, ref);
+    });
+
+    static constexpr MsgType kTypes[] = {
+        MsgType::kMemRead,      MsgType::kLsqPopulate,
+        MsgType::kEmcLlcQuery,  MsgType::kFillToCore,
+        MsgType::kChainTransfer, MsgType::kLiveOut,
+        MsgType::kEmcFillReply,  MsgType::kWriteback};
+    Rng rng(seed);
+    double rate = 0;
+    std::uint64_t token = 1;
+    std::uint64_t busy_cycles = 0;
+    for (; now <= 6000; ++now) {
+        if (now % 500 == 1)
+            rate = std::vector<double>{0.0, 0.1, 0.6, 2.5}[rng.below(4)];
+        const unsigned burst_stop = static_cast<unsigned>(rng.below(stops));
+        for (double left = rate; rng.chance(std::min(left, 1.0));
+             left -= 1.0) {
+            RingMsg m;
+            m.type = kTypes[rng.below(std::size(kTypes))];
+            m.src = rng.chance(0.5) ? burst_stop
+                                    : static_cast<unsigned>(rng.below(stops));
+            m.dst = (m.src + 1 + static_cast<unsigned>(rng.below(stops - 1)))
+                    % stops;
+            m.token = token++;
+            ring->send(m, now);
+            ref.send(m, now);
+        }
+        busy_cycles += ring->pending() != 0;
+        ring->tick(now);
+        ref.tick(now);
+
+        ASSERT_EQ(got, want) << "cycle " << now;
+        ASSERT_EQ(ring->pending(), ref.pending()) << "cycle " << now;
+        ASSERT_EQ(ring->stats().inject_stalls, ref.stats().inject_stalls)
+            << "cycle " << now;
+        // The image is written in stop order, ejected slots included.
+        ASSERT_EQ(image(*ring), image(ref)) << "cycle " << now;
+
+        if (now % 777 == 0) {
+            const std::vector<std::uint8_t> bytes = image(*ring);
+            auto restored = std::make_unique<Ring>(stops, is_data);
+            ckpt::Ar load = ckpt::Ar::loader(bytes);
+            restored->ser(load);
+            ASSERT_TRUE(load.exhausted());
+            hook(*restored);
+            ring = std::move(restored);
+        }
+    }
+    EXPECT_GT(ring->stats().delivered, 1000u);
+    EXPECT_GT(ring->stats().inject_stalls, 100u);
+    EXPECT_GT(busy_cycles, 1000u);
+    EXPECT_LT(busy_cycles, 5500u);  // some cycles had nothing to move
+}
+
+TEST(RingReferenceModel, MatchesCopyAndRotateRing)
+{
+    std::uint64_t seed = 1;
+    for (unsigned stops : {2u, 5u, 9u}) {
+        for (bool is_data : {false, true}) {
+            SCOPED_TRACE(std::to_string(stops) + " stops, "
+                         + (is_data ? "data" : "control") + " ring");
+            crossCheckRing(stops, is_data, seed++);
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+TEST(RingCkpt, ImageOfAnotherStopCountIsRejected)
+{
+    Ring five(5, false);
+    const std::vector<std::uint8_t> bytes = image(five);
+    Ring nine(9, false);
+    ckpt::Ar load = ckpt::Ar::loader(bytes);
+    EXPECT_THROW(nine.ser(load), ckpt::Error);
 }
 
 } // namespace
